@@ -16,8 +16,8 @@ from pathlib import Path
 from .discrete import ReprKind
 from .engines import (
     CLOSED_FORM_SIZES,
-    GENERAL_SIZE_CAP,
     Method,
+    check_combination,
     closed_form_det,
     closed_form_inverse,
     expand_terms,
@@ -32,7 +32,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCombinationError,
 )
-from .matrices import Matrix, parse_matrix, random_matrix, write_matrix
+from .matrices import Matrix, _format_float, parse_matrix, random_matrix, write_matrix
 from .oracles import cofactor_inverse, leibniz_det, residual_max_abs
 from .validation import TrialConfig, histogram_csv, run_trials, sparse_suite, summary_json
 from .vector_apps import CurlInput, curl_components, scalar_triple
@@ -42,8 +42,6 @@ EXIT_SINGULAR = 2
 EXIT_USAGE = 3
 EXIT_UNSUPPORTED = 4
 
-_ORACLE_MAX = 9  # permutation enumeration bound
-
 
 class _UsageError(Exception):
     """Flag/argument problem; maps to exit code 3."""
@@ -52,10 +50,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes ours
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".16e")
 
 
 def _parse_reals(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -91,12 +85,26 @@ def _add_matrix_source(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_matrix(args) -> Matrix:
+def _load_matrix(args) -> tuple[Matrix, Method, ReprKind]:
+    """The matrix, method and encoding of a det/invert call, checked together.
+
+    A random draw is checked before it is made, so an unsupported size costs
+    nothing to refuse.
+    """
+    a = None
     if args.input is not None:
-        return parse_matrix(Path(args.input).read_bytes())
-    if args.random < 1:
-        raise _UsageError(f"--random needs a positive size, got {args.random}")
-    return random_matrix(args.random, args.seed, args.complex)
+        a = parse_matrix(Path(args.input).read_bytes())
+        n = a.n
+    else:
+        n = args.random
+        if n < 1:
+            raise _UsageError(f"--random needs a positive size, got {n}")
+    method = _resolve_method(args, n)
+    repr_kind = ReprKind(args.repr_kind)
+    check_combination(n, method, repr_kind)
+    if a is None:
+        a = random_matrix(n, args.seed, args.complex)
+    return a, method, repr_kind
 
 
 def _resolve_method(args, n: int) -> Method:
@@ -105,48 +113,20 @@ def _resolve_method(args, n: int) -> Method:
     return Method.CLOSED_FORM if n <= max(CLOSED_FORM_SIZES) else Method.TELESCOPE
 
 
-def _check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
-    if method is Method.CLOSED_FORM:
-        if n not in CLOSED_FORM_SIZES:
-            raise UnsupportedCombinationError(
-                f"closed form covers sizes {CLOSED_FORM_SIZES}, got {n}"
-            )
-        if repr_kind in (ReprKind.COSINE, ReprKind.BESSEL, ReprKind.HERMITE) and n != 3:
-            raise UnsupportedCombinationError(
-                f"{repr_kind.value} encoding only covers size 3, got {n}"
-            )
-        return
-    if repr_kind is not ReprKind.DIRECT:
-        raise UnsupportedCombinationError(
-            f"{method.value} method only runs the direct encoding"
-        )
-    limit = GENERAL_SIZE_CAP if method is Method.TELESCOPE else _ORACLE_MAX
-    if not 2 <= n <= limit:
-        raise UnsupportedCombinationError(
-            f"{method.value} method covers sizes 2..{limit}, got {n}"
-        )
-
-
 def _cmd_det(args) -> int:
-    a = _load_matrix(args)
-    method = _resolve_method(args, a.n)
-    repr_kind = ReprKind(args.repr_kind)
-    _check_combination(a.n, method, repr_kind)
+    a, method, repr_kind = _load_matrix(args)
     if method is Method.CLOSED_FORM:
         value = closed_form_det(a, repr_kind)
     elif method is Method.TELESCOPE:
         value = general_det(a)
     else:
         value = leibniz_det(a)
-    print(f"{_fmt(value.real)} {_fmt(value.imag)}")
+    print(f"{_format_float(value.real)} {_format_float(value.imag)}")
     return EXIT_OK
 
 
 def _cmd_invert(args) -> int:
-    a = _load_matrix(args)
-    method = _resolve_method(args, a.n)
-    repr_kind = ReprKind(args.repr_kind)
-    _check_combination(a.n, method, repr_kind)
+    a, method, repr_kind = _load_matrix(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NearSingularWarning)
         if method is Method.CLOSED_FORM:
@@ -159,7 +139,7 @@ def _cmd_invert(args) -> int:
         if issubclass(w.category, NearSingularWarning):
             print(f"warning: {w.message}", file=sys.stderr)
     print(write_matrix(inverse).decode("ascii"))
-    print(f"residual {_fmt(residual_max_abs(a, inverse))}")
+    print(f"residual {_format_float(residual_max_abs(a, inverse))}")
     return EXIT_OK
 
 
@@ -202,7 +182,8 @@ def _cmd_sparse_check(args) -> int:
         verdict = "PASS" if check.passed else "FAIL"
         print(
             f"case {check.case_id} {verdict} "
-            f"det_err={_fmt(check.det_error)} inv_err={_fmt(check.inverse_error)}"
+            f"det_err={_format_float(check.det_error)} "
+            f"inv_err={_format_float(check.inverse_error)}"
         )
     return EXIT_OK
 
@@ -212,7 +193,7 @@ def _cmd_curl(args) -> int:
     d = _parse_reals(args.partials, 9, "--d")
     inp = CurlInput(h, (tuple(d[0:3]), tuple(d[3:6]), tuple(d[6:9])))
     c1, c2, c3 = curl_components(inp)
-    print(f"{_fmt(c1.real)} {_fmt(c2.real)} {_fmt(c3.real)}")
+    print(f"{_format_float(c1.real)} {_format_float(c2.real)} {_format_float(c3.real)}")
     return EXIT_OK
 
 
@@ -221,7 +202,7 @@ def _cmd_volume(args) -> int:
     b = _parse_reals(args.b, 3, "--b")
     c = _parse_reals(args.c, 3, "--c")
     signed = scalar_triple(a, b, c)
-    print(f"{_fmt(signed.real)} {_fmt(abs(signed))}")
+    print(f"{_format_float(signed.real)} {_format_float(abs(signed))}")
     return EXIT_OK
 
 

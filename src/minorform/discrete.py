@@ -40,13 +40,6 @@ class ReprKind(Enum):
     HERMITE = "hermite"
 
 
-@dataclass(frozen=True)
-class BesselConstants:
-    """Constants backing the Bessel encoding."""
-
-    z1: float = BESSEL_J0_FIRST_ZERO
-
-
 def kron(z: int) -> int:
     """Kronecker delta: 1 at z == 0, else 0."""
     return 1 if z == 0 else 0

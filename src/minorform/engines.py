@@ -1,11 +1,15 @@
 """Closed-form determinant and inverse engines.
 
-The fixed-size engines (n = 2..5) evaluate fully unrolled sums whose index
-arithmetic is done entirely by the discrete step calculus: every row and
-column subscript is a survivor-map expression, optionally routed through a
-standard-function encoding of the step. The general engine telescopes: it
-expands along the first row and rebuilds each minor with the step-indexed
-minor map, recursing until the closed 2x2 form.
+Every closed-form table and the symbolic expansion come from one
+survivor-map expansion: the determinant is expanded along its first row,
+and deleting position s leaves each later position t reading column
+kappa(t, s) = t + 1 - heav(s - t - 1) of its parent, with the step
+optionally routed through a standard-function encoding. The n x n
+determinant table (n = 2..5) is that expansion as flat offsets; the
+inverse tables are the size n-1 expansion read through the row and column
+survivor maps of the deleted row and column. The general engine
+telescopes: it expands along the first row and rebuilds each minor with
+the step-indexed minor map, recursing until the closed 2x2 form.
 
 Index tables per (size, encoding) are computed once and cached; evaluation
 afterwards is pure arithmetic over the flat entry buffer.
@@ -26,8 +30,8 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCombinationError,
 )
-from .indices import kappa
 from .matrices import Matrix, minor_by_formula
+from .oracles import _LEIBNIZ_MAX
 
 CLOSED_FORM_SIZES = (2, 3, 4, 5)
 GENERAL_SIZE_CAP = 8
@@ -59,14 +63,18 @@ class SignedTerm:
     columns: tuple[int, ...]
 
 
+# (sign, columns) or (sign, flat offsets) of every product, in expansion order
+_Terms = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 def _step(z: int, p: int, repr_kind: ReprKind) -> int:
     """heav(z - p) through the selected encoding.
 
-    The non-gamma encodings exist only on the 3x3 window (p in {2,3},
-    z in {1,2,3}), which is every step the 3x3 engine asks for. The gamma
-    encoding is public on p in {2,3} (any z >= 1) and p = 4 (z in 1..4);
-    the remaining arguments reached by the 4x4/5x5 engines go through the
-    private factorial-parity closure.
+    The expansion asks for z in 1..n and p in 2..n. The non-gamma encodings
+    exist only on the 3x3 window (p in {2,3}, z in {1,2,3}), which covers
+    every step of n = 3. The gamma encoding is public on p in {2,3} (any
+    z >= 1) and p = 4 (z in 1..4); the remaining arguments of n = 4, 5 go
+    through the private factorial-parity closure.
     """
     if repr_kind is ReprKind.DIRECT:
         return heav(z - p)
@@ -77,193 +85,83 @@ def _step(z: int, p: int, repr_kind: ReprKind) -> int:
     return repr_heav(z, p, repr_kind)
 
 
-def _gate(x: int, repr_kind: ReprKind) -> int:
-    # heav(x) for a small signed gate argument, shifted into the step window
-    return _step(x + 3, 3, repr_kind)
+def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_kind: ReprKind):
+    """Yield (sign, columns) of every product of the determinant over colmap.
 
-
-def _kappa_step(t: int, r0: int, repr_kind: ReprKind) -> int:
-    return t + 1 - _step(r0, t + 1, repr_kind)
-
-
-def _survivor2(base: int, r1: int, r0: int, repr_kind: ReprKind) -> int:
-    """Two-level survivor map as an explicit gated sum.
-
-    Equals kappa(kappa(base, r1), r0); the u = 1 branch is the base
-    clearing the inner cut unshifted, u = 2 the shifted one.
+    chosen holds the columns taken by the rows above and sign their parity.
+    Deleting position s leaves the child map colmap[kappa(t, s) - 1] for
+    t = 1..len-1, where kappa(t, s) - 1 = t - heav(s - t - 1) is the survivor
+    step read through the encoding.
     """
-    total = 0
-    for u in (1, 2):
-        gate = _gate(r1 - base - 1, repr_kind) if u == 1 else _gate(base - r1, repr_kind)
-        if gate:
-            total += (base + u - _step(r0, base + u, repr_kind)) * gate
-    return total
-
-
-def _survivor3(base: int, r2: int, r1: int, r0: int, repr_kind: ReprKind) -> int:
-    """Three-level survivor map, kappa composed three times, as a gated sum."""
-    total = 0
-    for v in (0, 1):
-        gate_v = _gate(r2 - base - 1, repr_kind) if v == 0 else _gate(base - r2, repr_kind)
-        if not gate_v:
-            continue
-        for u in (1, 2):
-            gate_u = (
-                _gate(r1 - base - v - 1, repr_kind)
-                if u == 1
-                else _gate(base - r1 + v, repr_kind)
-            )
-            if not gate_u:
-                continue
-            total += (base + u + v - _step(r0, base + u + v, repr_kind)) * gate_v * gate_u
-    return total
-
-
-def _offset(n: int, row: int, col: int) -> int:
-    if not 1 <= col <= n:
-        raise DomainError(f"survivor map produced column {col} outside 1..{n}")
-    return (row - 1) * n + (col - 1)
+    if len(colmap) == 1:
+        yield sign, chosen + colmap
+        return
+    for s in range(1, len(colmap) + 1):
+        child = tuple(colmap[t - _step(s, t + 1, repr_kind)] for t in range(1, len(colmap)))
+        yield from _expand(child, sign if s % 2 else -sign, chosen + (colmap[s - 1],), repr_kind)
 
 
 @lru_cache(maxsize=None)
-def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Signed flat-offset products for the unrolled n x n determinant."""
-    terms: list[tuple[int, tuple[int, ...]]] = []
-    if n == 2:
-        return (
-            (1, (_offset(2, 1, 1), _offset(2, 2, 2))),
-            (-1, (_offset(2, 1, 2), _offset(2, 2, 1))),
-        )
-    if n == 3:
-        for l in range(1, 4):
-            for j in (2, 3):
-                sign = -1 if (j + 1 + l) % 2 else 1
-                cols = (
-                    l,
-                    j - _step(l, j, repr_kind),
-                    5 - j - _step(l, 5 - j, repr_kind),
-                )
-                terms.append((sign, tuple(_offset(3, r, c) for r, c in enumerate(cols, 1))))
-        return tuple(terms)
-    if n == 4:
-        for m in range(1, 5):
-            for l in range(1, 4):
-                for j in (1, 2):
-                    # telescoped 4x4 sum carries a global minus
-                    sign = 1 if (j + l + m) % 2 else -1
-                    cols = (
-                        m,
-                        _kappa_step(l, m, repr_kind),
-                        _survivor2(j, l, m, repr_kind),
-                        _survivor2(3 - j, l, m, repr_kind),
-                    )
-                    terms.append((sign, tuple(_offset(4, r, c) for r, c in enumerate(cols, 1))))
-        return tuple(terms)
-    if n == 5:
-        for q in range(1, 6):
-            for m in range(1, 5):
-                for l in range(1, 4):
-                    for j in (1, 2):
-                        sign = -1 if (j + l + m + q) % 2 else 1
-                        cols = (
-                            q,
-                            _kappa_step(m, q, repr_kind),
-                            _survivor2(l, m, q, repr_kind),
-                            _survivor3(j, l, m, q, repr_kind),
-                            _survivor3(3 - j, l, m, q, repr_kind),
-                        )
-                        terms.append(
-                            (sign, tuple(_offset(5, r, c) for r, c in enumerate(cols, 1)))
-                        )
-        return tuple(terms)
-    raise UnsupportedCombinationError(f"closed form covers sizes {CLOSED_FORM_SIZES}, got {n}")
+def _column_terms(n: int, repr_kind: ReprKind) -> _Terms:
+    """Signed column tuples of the n x n determinant in expansion order."""
+    return tuple(_expand(tuple(range(1, n + 1)), 1, (), repr_kind))
 
 
 @lru_cache(maxsize=None)
-def _inverse_terms(n: int) -> dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Signed flat-offset numerator products per inverse entry (row, col).
+def _det_terms(n: int, repr_kind: ReprKind) -> _Terms:
+    """Signed flat-offset products of the n x n determinant."""
+    return tuple(
+        (sign, tuple(r * n + c - 1 for r, c in enumerate(columns)))
+        for sign, columns in _column_terms(n, repr_kind)
+    )
+
+
+@lru_cache(maxsize=None)
+def _inverse_terms(n: int) -> dict[tuple[int, int], _Terms]:
+    """Signed flat-offset numerator products per inverse entry (r, c).
 
     Entry (r, c) of the inverse is its signed sum divided by the
-    determinant. Source rows are selected by the output column (they skip
-    the deleted row c), source columns by survivor maps of the output row r.
+    determinant: the size n-1 table read through the survivor maps of the
+    deleted row c (row t -> t + heav(t - c)) and the deleted column r
+    (column k -> k + heav(k - r)).
     """
-    direct = ReprKind.DIRECT
-    table: dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
-    if n == 2:
-        for j in range(1, 3):
-            for i in range(1, 3):
-                sign = -1 if (i + j) % 2 else 1
-                table[(j, i)] = ((sign, (_offset(2, 3 - i, 3 - j),)),)
-        return table
-    if n == 3:
-        for l in range(1, 4):
-            for k in range(1, 4):
-                rows = (2 - heav(k - 2), 3 - heav(k - 3))
-                entry_terms = []
-                for j in (2, 3):
-                    sign = -1 if (j + k + l) % 2 else 1
-                    cols = (j - heav(l - j), 5 - j - heav(l - 5 + j))
-                    entry_terms.append(
-                        (sign, tuple(_offset(3, r, c) for r, c in zip(rows, cols)))
-                    )
-                table[(l, k)] = tuple(entry_terms)
-        return table
-    if n == 4:
-        for r in range(1, 5):
-            for c in range(1, 5):
-                rows = (2 - heav(c - 2), 3 - heav(c - 3), 4 - heav(c - 4))
-                outer = -1 if (r + c) % 2 else 1
-                entry_terms = []
-                for l in range(1, 4):
-                    for j in (1, 2):
-                        sign = outer * (-1 if (j + l) % 2 else 1)
-                        cols = (
-                            _kappa_step(l, r, direct),
-                            _survivor2(j, l, r, direct),
-                            _survivor2(3 - j, l, r, direct),
-                        )
-                        entry_terms.append(
-                            (sign, tuple(_offset(4, rr, cc) for rr, cc in zip(rows, cols)))
-                        )
-                table[(r, c)] = tuple(entry_terms)
-        return table
-    if n == 5:
-        for r in range(1, 6):
-            for c in range(1, 6):
-                rows = (
-                    2 - heav(c - 2),
-                    3 - heav(c - 3),
-                    4 - heav(c - 4),
-                    5 - heav(c - 5),
-                )
-                outer = -1 if (r + c) % 2 else 1
-                entry_terms = []
-                for m in range(1, 5):
-                    for l in range(1, 4):
-                        for j in (1, 2):
-                            sign = outer * (-1 if (1 + j + l + m) % 2 else 1)
-                            cols = (
-                                _kappa_step(m, r, direct),
-                                _survivor2(l, m, r, direct),
-                                _survivor3(j, l, m, r, direct),
-                                _survivor3(3 - j, l, m, r, direct),
-                            )
-                            entry_terms.append(
-                                (sign, tuple(_offset(5, rr, cc) for rr, cc in zip(rows, cols)))
-                            )
-                table[(r, c)] = tuple(entry_terms)
-        return table
-    raise UnsupportedCombinationError(f"closed form covers sizes {CLOSED_FORM_SIZES}, got {n}")
-
-
-def _require_closed(n: int, repr_kind: ReprKind) -> None:
-    if n not in CLOSED_FORM_SIZES:
-        raise UnsupportedCombinationError(
-            f"closed form covers sizes {CLOSED_FORM_SIZES}, got {n}"
+    minor = _column_terms(n - 1, ReprKind.DIRECT)
+    return {
+        (r, c): tuple(
+            (
+                sign if (r + c) % 2 == 0 else -sign,
+                tuple(
+                    (t + heav(t - c) - 1) * n + k + heav(k - r) - 1
+                    for t, k in enumerate(columns, 1)
+                ),
+            )
+            for sign, columns in minor
         )
-    if repr_kind in (ReprKind.COSINE, ReprKind.BESSEL, ReprKind.HERMITE) and n != 3:
+        for r in range(1, n + 1)
+        for c in range(1, n + 1)
+    }
+
+
+def check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
+    """Raise UnsupportedCombinationError unless the engine covers (n, encoding)."""
+    if method is Method.CLOSED_FORM:
+        if n not in CLOSED_FORM_SIZES:
+            raise UnsupportedCombinationError(
+                f"closed form covers sizes {CLOSED_FORM_SIZES}, got {n}"
+            )
+        if repr_kind in (ReprKind.COSINE, ReprKind.BESSEL, ReprKind.HERMITE) and n != 3:
+            raise UnsupportedCombinationError(
+                f"{repr_kind.value} encoding only covers size 3, got {n}"
+            )
+        return
+    if repr_kind is not ReprKind.DIRECT:
         raise UnsupportedCombinationError(
-            f"{repr_kind.value} encoding only covers the 3x3 engine, got size {n}"
+            f"{method.value} method only runs the direct encoding"
+        )
+    limit = GENERAL_SIZE_CAP if method is Method.TELESCOPE else _LEIBNIZ_MAX
+    if not 2 <= n <= limit:
+        raise UnsupportedCombinationError(
+            f"{method.value} method covers sizes 2..{limit}, got {n}"
         )
 
 
@@ -279,7 +177,7 @@ def _signed_sum(data: tuple[complex, ...], terms) -> complex:
 
 def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex:
     """Determinant by the unrolled closed-form sum (sizes 2..5)."""
-    _require_closed(a.n, repr_kind)
+    check_combination(a.n, Method.CLOSED_FORM, repr_kind)
     return _signed_sum(a.data, _det_terms(a.n, repr_kind))
 
 
@@ -310,7 +208,7 @@ def closed_form_inverse(a: Matrix) -> Matrix:
     step-exact integers, so every encoding that passes its truth tables
     produces this same table.
     """
-    _require_closed(a.n, ReprKind.DIRECT)
+    check_combination(a.n, Method.CLOSED_FORM, ReprKind.DIRECT)
     det = closed_form_det(a)
     _guard_determinant(a, det)
     table = _inverse_terms(a.n)
@@ -337,12 +235,16 @@ def _telescope_det(a: Matrix) -> complex:
     return total
 
 
-def general_det(a: Matrix, cap: int = GENERAL_SIZE_CAP) -> complex:
-    """Determinant by telescoping first-row expansion (any size up to cap)."""
+def _require_telescope(a: Matrix, cap: int) -> None:
     if a.n < 2:
-        raise DomainError(f"telescoping determinant needs n >= 2, got {a.n}")
+        raise DomainError(f"telescoping engine needs n >= 2, got {a.n}")
     if a.n > cap:
         raise CapacityError(f"telescoping engine capped at n <= {cap}, got {a.n}")
+
+
+def general_det(a: Matrix, cap: int = GENERAL_SIZE_CAP) -> complex:
+    """Determinant by telescoping first-row expansion (any size up to cap)."""
+    _require_telescope(a, cap)
     return _telescope_det(a)
 
 
@@ -352,10 +254,7 @@ def element_inverse(a: Matrix, p: int, q: int, cap: int = GENERAL_SIZE_CAP) -> c
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a) with both
     determinants telescoped, so one entry never costs a full inverse.
     """
-    if a.n < 2:
-        raise DomainError(f"element inverse needs n >= 2, got {a.n}")
-    if a.n > cap:
-        raise CapacityError(f"telescoping engine capped at n <= {cap}, got {a.n}")
+    _require_telescope(a, cap)
     a._check_index("row", p)
     a._check_index("column", q)
     det = _telescope_det(a)
@@ -366,10 +265,7 @@ def element_inverse(a: Matrix, p: int, q: int, cap: int = GENERAL_SIZE_CAP) -> c
 
 def general_inverse(a: Matrix, cap: int = GENERAL_SIZE_CAP) -> Matrix:
     """Full inverse from telescoped minor determinants (any size up to cap)."""
-    if a.n < 2:
-        raise DomainError(f"telescoping inverse needs n >= 2, got {a.n}")
-    if a.n > cap:
-        raise CapacityError(f"telescoping engine capped at n <= {cap}, got {a.n}")
+    _require_telescope(a, cap)
     det = _telescope_det(a)
     _guard_determinant(a, det)
     n = a.n
@@ -386,26 +282,14 @@ def general_inverse(a: Matrix, cap: int = GENERAL_SIZE_CAP) -> Matrix:
 def expand_terms(n: int) -> tuple[SignedTerm, ...]:
     """Symbolic telescoping expansion of the n x n determinant.
 
-    Recursively expands along the first row, threading the column map of
-    each minor through the survivor function, until the 2x2 base emits its
-    two products. Terms arrive in deterministic expansion order and their
-    signs reproduce the permutation parities of the Leibniz sum.
+    The closed-form tables' own expansion along the first row, with each
+    minor's column map threaded through the survivor function. Terms arrive
+    in deterministic expansion order and their signs reproduce the
+    permutation parities of the Leibniz sum.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"expansion needs an integer size >= 2, got {n!r}")
     if n > GENERAL_SIZE_CAP:
         raise CapacityError(f"expansion capped at n <= {GENERAL_SIZE_CAP}, got {n}")
-    out: list[SignedTerm] = []
-
-    def recurse(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...]) -> None:
-        size = len(colmap)
-        if size == 2:
-            out.append(SignedTerm(sign, chosen + (colmap[0], colmap[1])))
-            out.append(SignedTerm(-sign, chosen + (colmap[1], colmap[0])))
-            return
-        for s in range(1, size + 1):
-            child = tuple(colmap[kappa(t, s) - 1] for t in range(1, size))
-            recurse(child, sign if s % 2 else -sign, chosen + (colmap[s - 1],))
-
-    recurse(tuple(range(1, n + 1)), 1, ())
-    return tuple(out)
+    terms = _column_terms(n, ReprKind.DIRECT)
+    return tuple(SignedTerm(sign, columns) for sign, columns in terms)

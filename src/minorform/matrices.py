@@ -173,7 +173,10 @@ def write_matrix(a: Matrix) -> bytes:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParseError(f"{where} is out of floating-point range") from None
     if not math.isfinite(value):
         raise ParseError(f"{where} must be finite, got {value!r}")
     return value
@@ -210,6 +213,8 @@ def parse_matrix(text: bytes | str) -> Matrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError("a number in the input is out of range") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     unknown = sorted(set(obj) - {"n", "re", "im"})

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .discrete import ReprKind
 from .engines import (
-    CLOSED_FORM_SIZES,
     GENERAL_SIZE_CAP,
     Method,
+    check_combination,
     closed_form_det,
     closed_form_inverse,
     general_inverse,
@@ -61,22 +61,7 @@ class TrialConfig:
             raise UnsupportedCombinationError(
                 f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {self.size}"
             )
-        if self.method is Method.CLOSED_FORM:
-            if self.size not in CLOSED_FORM_SIZES:
-                raise UnsupportedCombinationError(
-                    f"closed form covers sizes {CLOSED_FORM_SIZES}, got {self.size}"
-                )
-        elif self.repr_kind is not ReprKind.DIRECT:
-            raise UnsupportedCombinationError(
-                f"{self.method.value} method only runs the direct encoding"
-            )
-        if (
-            self.repr_kind in (ReprKind.COSINE, ReprKind.BESSEL, ReprKind.HERMITE)
-            and self.size != 3
-        ):
-            raise UnsupportedCombinationError(
-                f"{self.repr_kind.value} encoding only covers size 3, got {self.size}"
-            )
+        check_combination(self.size, self.method, self.repr_kind)
 
 
 @dataclass(frozen=True)

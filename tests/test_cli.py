@@ -1,6 +1,7 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,45 @@ def test_random_matrix_matches_library(capsys):
     re_str, im_str = out.split()
     assert abs(float(re_str) - expected.real) <= 1e-12 * abs(expected)
     assert abs(float(im_str) - expected.imag) <= 1e-12 * abs(expected)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("det_random_5_seed_42", ("det", "--random", "5", "--seed", "42")),
+        ("invert_random_5_seed_3", ("invert", "--random", "5", "--seed", "3")),
+        ("invert_random_3_seed_1_complex", ("invert", "--random", "3", "--seed", "1", "--complex")),
+        ("validate_trials_300_size_5_seed_4", ("validate", "--trials", "300", "--size", "5", "--seed", "4")),
+    ],
+)
+def test_stdout_matches_golden_bytes(capsys, tmp_path, name, argv):
+    if argv[0] == "validate":
+        argv += ("--out", str(tmp_path / "h.csv"))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_random_combination_is_checked_before_drawing(capsys, monkeypatch):
+    import minorform.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix drawn before the combination check")
+
+    monkeypatch.setattr(cli, "random_matrix", refuse)
+    code, _, err = run_cli(capsys, "det", "--random", "300")
+    assert code == 4
+    assert "unsupported" in err
+    assert run_cli(capsys, "det", "--random", "0")[0] == 3
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_oversized_json_integer_exits_3(capsys, tmp_path, digits):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 2, "re": [[1' + "0" * digits + ", 0], [0, 1]]}")
+    code, out, err = run_cli(capsys, "det", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")

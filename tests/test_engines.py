@@ -249,3 +249,47 @@ def test_expand_terms_bounds():
         expand_terms(1)
     with pytest.raises(CapacityError):
         expand_terms(9)
+
+
+def flat_signed_sum(a, terms):
+    # the bitwise contract: each product built row by row from 1+0j, each
+    # term added or subtracted by its sign, in the order given
+    total = 0.0 + 0.0j
+    for sign, columns in terms:
+        product = 1.0 + 0.0j
+        for row, col in enumerate(columns, 1):
+            product *= a.entry(row, col)
+        total = total + product if sign > 0 else total - product
+    return total
+
+
+def expansion_order(n):
+    if n == 1:
+        return [(1, (1,))]
+    return [(t.sign, t.columns) for t in expand_terms(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_det_is_the_flat_sum_in_expansion_order(n):
+    encodings = [ReprKind.DIRECT, ReprKind.GAMMA] + (ENCODED[1:] if n == 3 else [])
+    for seed in range(5):
+        a = random_matrix(n, seed=700 + 10 * n + seed, complex_entries=True)
+        expected = flat_signed_sum(a, expansion_order(n))
+        for repr_kind in encodings:
+            assert closed_form_det(a, repr_kind) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_inverse_is_the_flat_sum_over_deletion_minors(n):
+    from minorform import minor_by_deletion
+
+    for seed in range(3):
+        a = random_matrix(n, seed=800 + 10 * n + seed, complex_entries=True)
+        det = closed_form_det(a)
+        inv = closed_form_inverse(a)
+        for r in range(1, n + 1):
+            for c in range(1, n + 1):
+                numer = flat_signed_sum(minor_by_deletion(a, c, r), expansion_order(n - 1))
+                if (r + c) % 2:
+                    numer = -numer
+                assert inv.entry(r, c) == numer / det

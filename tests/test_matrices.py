@@ -203,3 +203,17 @@ def test_parse_rejects_malformed_payloads(payload):
 def test_parse_rejects_non_utf8():
     with pytest.raises(ParseError):
         parse_matrix(b"\xff\xfe{}")
+
+
+def test_parse_rejects_integer_beyond_float_range():
+    # float() of a 400-digit integer overflows
+    payload = '{"n": 1, "re": [[1' + "0" * 400 + "]]}"
+    with pytest.raises(ParseError):
+        parse_matrix(payload)
+
+
+def test_parse_rejects_integer_beyond_json_digit_limit():
+    # json.loads refuses integers past the interpreter's digit limit
+    payload = '{"n": 1, "re": [[1' + "0" * 5000 + "]]}"
+    with pytest.raises(ParseError):
+        parse_matrix(payload.encode("ascii"))
