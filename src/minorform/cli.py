@@ -3,7 +3,8 @@
 Verbs: det, invert, minor, expand, validate, sparse-check, curl, volume.
 All numeric output uses 17 significant digits so runs are reproducible
 byte for byte. Exit codes: 0 success, 2 singular matrix, 3 parse or flag
-error, 4 unsupported size/method/encoding combination.
+error or a value out of floating-point range, 4 unsupported
+size/method/encoding combination.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ optionally routed through a standard-function encoding. The n x n
 determinant table (n = 2..5) is that expansion as flat offsets; the
 inverse tables are the size n-1 expansion read through the row and column
 survivor maps of the deleted row and column. The general engine
-telescopes: it expands along the first row and rebuilds each minor with
-the step-indexed minor map, recursing until the closed 2x2 form.
+telescopes: it expands along the first row without building minor
+matrices, naming each nested minor by the set of columns it keeps (its
+rows are the last ones) and evaluating each set once per determinant,
+down to the closed 2x2 form.
 
 Index tables per (size, encoding) are computed once and cached; evaluation
 afterwards is pure arithmetic over the flat entry buffer.
@@ -17,6 +19,7 @@ afterwards is pure arithmetic over the flat entry buffer.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -191,6 +194,8 @@ def _row_max_product(a: Matrix) -> float:
 def _guard_determinant(a: Matrix, det: complex) -> None:
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
+    if not cmath.isfinite(det):
+        raise DomainError(f"determinant {det!r} is not finite; entries are out of range")
     if abs(det) < NEAR_SINGULAR_RELATIVE * _row_max_product(a):
         warnings.warn(
             NearSingularWarning(
@@ -220,19 +225,41 @@ def closed_form_inverse(a: Matrix) -> Matrix:
 
 
 def _telescope_det(a: Matrix) -> complex:
-    if a.n == 1:
-        return a.entry(1, 1)
-    if a.n == 2:
-        d = a.data
-        return d[0] * d[3] - d[1] * d[2]
-    total = 0.0 + 0.0j
-    for col in range(1, a.n + 1):
-        pivot = a.data[col - 1]
-        if pivot == 0:
-            continue
-        term = pivot * _telescope_det(minor_by_formula(a, 1, col))
-        total += term if col % 2 else -term
-    return total
+    """Determinant by first-row expansion over sets of surviving columns.
+
+    After any chain of first-row deletions the composed survivor map
+    depends only on which columns are gone, so a minor is named by the
+    bitmask of its k surviving columns; its rows are the last k rows of
+    `a`. Each minor is expanded once, along its own first row with the
+    columns in ascending order, and memoised by its mask for the rest of
+    the call. Zero pivots are skipped and 2x2 minors use the closed form,
+    so every value is the one the unmemoised recursion computes.
+    """
+    n, data = a.n, a.data
+    if n == 1:
+        return data[0]
+    memo: dict[int, complex] = {}
+
+    def minor_det(mask: int) -> complex:
+        if mask in memo:
+            return memo[mask]
+        cols = [c for c in range(n) if mask >> c & 1]
+        row = (n - len(cols)) * n
+        if len(cols) == 2:
+            c0, c1 = cols
+            value = data[row + c0] * data[row + n + c1] - data[row + c1] * data[row + n + c0]
+        else:
+            value = 0.0 + 0.0j
+            for i, c in enumerate(cols):
+                pivot = data[row + c]
+                if pivot == 0:
+                    continue
+                term = pivot * minor_det(mask & ~(1 << c))
+                value += -term if i % 2 else term
+        memo[mask] = value
+        return value
+
+    return minor_det((1 << n) - 1)
 
 
 def _require_telescope(a: Matrix, cap: int) -> None:

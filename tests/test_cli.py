@@ -259,6 +259,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("invert_random_5_seed_3", ("invert", "--random", "5", "--seed", "3")),
         ("invert_random_3_seed_1_complex", ("invert", "--random", "3", "--seed", "1", "--complex")),
         ("validate_trials_300_size_5_seed_4", ("validate", "--trials", "300", "--size", "5", "--seed", "4")),
+        ("invert_random_8_seed_1", ("invert", "--random", "8", "--seed", "1")),
     ],
 )
 def test_stdout_matches_golden_bytes(capsys, tmp_path, name, argv):
@@ -290,3 +291,11 @@ def test_oversized_json_integer_exits_3(capsys, tmp_path, digits):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_overflowing_determinant_exits_3_not_a_zero_inverse(capsys, tmp_path):
+    big = Matrix.from_rows([[1e70 if r == c else 0 for c in range(5)] for r in range(5)])
+    code, out, err = run_cli(capsys, "invert", "--input", str(matrix_file(tmp_path, big)))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err

@@ -22,7 +22,9 @@ from minorform import (
     general_det,
     general_inverse,
     identity,
+    laplace_det,
     leibniz_det,
+    minor_by_formula,
     random_matrix,
 )
 
@@ -293,3 +295,65 @@ def test_closed_inverse_is_the_flat_sum_over_deletion_minors(n):
                 if (r + c) % 2:
                     numer = -numer
                 assert inv.entry(r, c) == numer / det
+
+
+ZERO_PIVOT_CASES = [
+    [[0, 1, 2], [3, 0, 4], [5, 6, 0]],
+    [[0, 0, 1, 2], [3, 0, 4, 0], [5, 6, 0, 1], [1, 1, 1, 1]],
+]
+
+
+def telescope_cases():
+    for n in (2, 3, 4, 5, 6):
+        for complex_entries in (False, True):
+            for seed in range(3):
+                kind = "complex" if complex_entries else "real"
+                yield pytest.param(
+                    random_matrix(n, seed=600 + 10 * n + seed, complex_entries=complex_entries),
+                    id=f"n{n}-{kind}-{seed}",
+                )
+    for rows in ZERO_PIVOT_CASES:
+        yield pytest.param(Matrix.from_rows(rows), id=f"zero-pivots-n{len(rows)}")
+
+
+@pytest.mark.parametrize("a", telescope_cases())
+def test_telescope_is_bitwise_the_laplace_recursion(a):
+    # the memoised column-set expansion evaluates every minor exactly as the
+    # recursion over deletion minors does, so results agree with ==
+    assert general_det(a) == laplace_det(a)
+    assert general_inverse(a).data == cofactor_inverse(a).data
+
+
+def test_telescope_extracts_only_first_level_minors(monkeypatch):
+    import minorform.engines as engines
+
+    calls = []
+
+    def counted(a, row, col):
+        calls.append((a.n, row, col))
+        return minor_by_formula(a, row, col)
+
+    monkeypatch.setattr(engines, "minor_by_formula", counted)
+    a = random_matrix(6, seed=61)
+    general_inverse(a)
+    assert len(calls) == 36 and {n for n, _, _ in calls} == {6}
+    calls.clear()
+    general_det(a)
+    assert calls == []
+    element_inverse(a, 2, 5)
+    assert calls == [(6, 2, 5)]
+
+
+@pytest.mark.parametrize(
+    "invert, n, scale",
+    [
+        (closed_form_inverse, 5, 1e70),
+        (general_inverse, 6, 1e60),
+        (lambda a: element_inverse(a, 1, 1), 6, 1e60),
+    ],
+    ids=["closed", "general", "element"],
+)
+def test_overflowing_determinant_raises_instead_of_zero_inverse(invert, n, scale):
+    a = Matrix.from_rows([[scale if r == c else 0 for c in range(n)] for r in range(n)])
+    with pytest.raises(DomainError, match="not finite"):
+        invert(a)
