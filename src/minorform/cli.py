@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Verbs: det, invert, minor, expand, validate, sparse-check, curl, volume.
+Only det takes --repr, the step-function encoding its closed-form table is
+built with; the other verbs compute the same numbers under any encoding.
 All numeric output uses 17 significant digits so runs are reproducible
 byte for byte. Exit codes: 0 success, 2 singular matrix, 3 parse or flag
 error or a value out of floating-point range, 4 unsupported
@@ -77,17 +79,10 @@ def _add_matrix_source(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="engine (default: closed for sizes 2..5, telescope above)",
     )
-    sub.add_argument(
-        "--repr",
-        dest="repr_kind",
-        choices=[r.value for r in ReprKind],
-        default=ReprKind.DIRECT.value,
-        help="step-function encoding (default direct)",
-    )
 
 
-def _load_matrix(args) -> tuple[Matrix, Method, ReprKind]:
-    """The matrix, method and encoding of a det/invert call, checked together.
+def _load_matrix(args, repr_kind: ReprKind = ReprKind.DIRECT) -> tuple[Matrix, Method]:
+    """The matrix and method of a det/invert call, checked with the encoding.
 
     A random draw is checked before it is made, so an unsupported size costs
     nothing to refuse.
@@ -101,11 +96,10 @@ def _load_matrix(args) -> tuple[Matrix, Method, ReprKind]:
         if n < 1:
             raise _UsageError(f"--random needs a positive size, got {n}")
     method = _resolve_method(args, n)
-    repr_kind = ReprKind(args.repr_kind)
     check_combination(n, method, repr_kind)
     if a is None:
         a = random_matrix(n, args.seed, args.complex)
-    return a, method, repr_kind
+    return a, method
 
 
 def _resolve_method(args, n: int) -> Method:
@@ -115,7 +109,8 @@ def _resolve_method(args, n: int) -> Method:
 
 
 def _cmd_det(args) -> int:
-    a, method, repr_kind = _load_matrix(args)
+    repr_kind = ReprKind(args.repr_kind)
+    a, method = _load_matrix(args, repr_kind)
     if method is Method.CLOSED_FORM:
         value = closed_form_det(a, repr_kind)
     elif method is Method.TELESCOPE:
@@ -127,7 +122,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    a, method, repr_kind = _load_matrix(args)
+    a, method = _load_matrix(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NearSingularWarning)
         if method is Method.CLOSED_FORM:
@@ -168,7 +163,6 @@ def _cmd_validate(args) -> int:
         size=args.size,
         seed=args.seed,
         method=_resolve_method(args, args.size),
-        repr_kind=ReprKind(args.repr_kind),
         complex_entries=args.complex,
     )
     report = run_trials(cfg)
@@ -213,6 +207,13 @@ def _build_parser() -> _Parser:
 
     p_det = sub.add_parser("det", help="determinant of a matrix")
     _add_matrix_source(p_det)
+    p_det.add_argument(
+        "--repr",
+        dest="repr_kind",
+        choices=[r.value for r in ReprKind],
+        default=ReprKind.DIRECT.value,
+        help="step-function encoding (default direct)",
+    )
     p_det.set_defaults(handler=_cmd_det)
 
     p_inv = sub.add_parser("invert", help="inverse of a matrix, with residual")
@@ -236,10 +237,6 @@ def _build_parser() -> _Parser:
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--out", metavar="PATH", required=True, help="histogram CSV file")
     p_val.add_argument("--method", choices=[m.value for m in Method], default=None)
-    p_val.add_argument(
-        "--repr", dest="repr_kind", choices=[r.value for r in ReprKind],
-        default=ReprKind.DIRECT.value,
-    )
     p_val.add_argument("--complex", action="store_true")
     p_val.set_defaults(handler=_cmd_validate)
 

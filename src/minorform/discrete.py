@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from .errors import DomainError, RepresentationMismatchError
 
@@ -96,10 +96,13 @@ def _parity_sign(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Encoding variants. Each entry pairs a membership test for the declared
-# integer domain with a real-valued evaluator. Variants are scanned once
-# against kron/heav over their (finite) domains; one that fails anywhere is
-# marked unavailable and calls to it raise, keeping the direct form normative.
+# Encoding variants. Each entry states its integer domain once, as the
+# shifts it covers and the largest z (from z = 1 up, or unbounded), and pairs
+# it with a real-valued evaluator. Membership and the conformance scan both
+# come from that domain; the scan stops unbounded domains at
+# _GAMMA_GENERAL_SCAN_LIMIT. Variants are scanned once against kron/heav; one
+# that fails anywhere is marked unavailable and calls to it raise, keeping
+# the direct form normative.
 # ---------------------------------------------------------------------------
 
 
@@ -172,115 +175,36 @@ class _Variant:
     name: str
     kind: str  # "delta" | "heav"
     repr_kind: ReprKind
-    member: Callable[[int, int], bool]
-    scan_domain: Callable[[], Iterable[tuple[int, int]]]  # finite, for the conformance scan
+    shifts: tuple[int, ...]
+    z_max: int | None  # largest z of the domain; None for every z >= 1
     evaluate: Callable[[int, int], float]
-    tolerance: float
+    tolerance: float = CLOSED_FORM_TOLERANCE
+
+    def member(self, z: int, shift: int) -> bool:
+        return shift in self.shifts and z >= 1 and (self.z_max is None or z <= self.z_max)
+
+    def scan_domain(self) -> Iterator[tuple[int, int]]:
+        """The finite (z, shift) points of the conformance scan, shift-major."""
+        top = _GAMMA_GENERAL_SCAN_LIMIT if self.z_max is None else self.z_max
+        return ((z, shift) for shift in self.shifts for z in range(1, top + 1))
 
 
 _GAMMA_GENERAL_SCAN_LIMIT = 12  # unbounded-domain variants are scanned this far
 
-
+# Order matters: a point in several domains takes the first matching variant,
+# so the bounded forms come before the general parity forms.
 _VARIANTS: tuple[_Variant, ...] = (
-    _Variant(
-        "gamma-factorial",
-        "delta",
-        ReprKind.GAMMA,
-        lambda z, n: n == 1 and 1 <= z <= 3,
-        lambda: ((z, 1) for z in range(1, 4)),
-        _delta_gamma_factorial,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "gamma-parity",
-        "delta",
-        ReprKind.GAMMA,
-        lambda z, n: n in (1, 2) and z >= 1,
-        lambda: ((z, n) for n in (1, 2) for z in range(1, _GAMMA_GENERAL_SCAN_LIMIT + 1)),
-        _delta_gamma_parity,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "bessel",
-        "delta",
-        ReprKind.BESSEL,
-        lambda z, n: 1 <= z <= 3 and 1 <= n <= 3,
-        lambda: ((z, n) for n in range(1, 4) for z in range(1, 4)),
-        _delta_bessel,
-        BESSEL_TOLERANCE,
-    ),
-    _Variant(
-        "cosine",
-        "delta",
-        ReprKind.COSINE,
-        lambda z, n: 1 <= z <= 3 and 1 <= n <= 3,
-        lambda: ((z, n) for n in range(1, 4) for z in range(1, 4)),
-        _delta_cosine,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "hermite",
-        "delta",
-        ReprKind.HERMITE,
-        lambda z, n: 1 <= z <= 3 and 1 <= n <= 3,
-        lambda: ((z, n) for n in range(1, 4) for z in range(1, 4)),
-        _delta_hermite,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "gamma-linear",
-        "heav",
-        ReprKind.GAMMA,
-        lambda z, p: p in (2, 3) and 1 <= z <= 3,
-        lambda: ((z, p) for p in (2, 3) for z in range(1, 4)),
-        _heav_gamma_linear,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "gamma-parity",
-        "heav",
-        ReprKind.GAMMA,
-        lambda z, p: p in (2, 3) and z >= 1,
-        lambda: ((z, p) for p in (2, 3) for z in range(1, _GAMMA_GENERAL_SCAN_LIMIT + 1)),
-        _heav_gamma_parity,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "gamma-reflected",
-        "heav",
-        ReprKind.GAMMA,
-        lambda z, p: p == 4 and 1 <= z <= 4,
-        lambda: ((z, 4) for z in range(1, 5)),
-        _heav_gamma_reflected,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "bessel",
-        "heav",
-        ReprKind.BESSEL,
-        lambda z, p: p in (2, 3) and 1 <= z <= 3,
-        lambda: ((z, p) for p in (2, 3) for z in range(1, 4)),
-        _heav_bessel,
-        BESSEL_TOLERANCE,
-    ),
-    _Variant(
-        "cosine",
-        "heav",
-        ReprKind.COSINE,
-        lambda z, p: p in (2, 3) and 1 <= z <= 3,
-        lambda: ((z, p) for p in (2, 3) for z in range(1, 4)),
-        _heav_cosine,
-        CLOSED_FORM_TOLERANCE,
-    ),
-    _Variant(
-        "hermite",
-        "heav",
-        ReprKind.HERMITE,
-        lambda z, p: p in (2, 3) and 1 <= z <= 3,
-        lambda: ((z, p) for p in (2, 3) for z in range(1, 4)),
-        _heav_hermite,
-        CLOSED_FORM_TOLERANCE,
-    ),
+    _Variant("gamma-factorial", "delta", ReprKind.GAMMA, (1,), 3, _delta_gamma_factorial),
+    _Variant("gamma-parity", "delta", ReprKind.GAMMA, (1, 2), None, _delta_gamma_parity),
+    _Variant("bessel", "delta", ReprKind.BESSEL, (1, 2, 3), 3, _delta_bessel, BESSEL_TOLERANCE),
+    _Variant("cosine", "delta", ReprKind.COSINE, (1, 2, 3), 3, _delta_cosine),
+    _Variant("hermite", "delta", ReprKind.HERMITE, (1, 2, 3), 3, _delta_hermite),
+    _Variant("gamma-linear", "heav", ReprKind.GAMMA, (2, 3), 3, _heav_gamma_linear),
+    _Variant("gamma-parity", "heav", ReprKind.GAMMA, (2, 3), None, _heav_gamma_parity),
+    _Variant("gamma-reflected", "heav", ReprKind.GAMMA, (4,), 4, _heav_gamma_reflected),
+    _Variant("bessel", "heav", ReprKind.BESSEL, (2, 3), 3, _heav_bessel, BESSEL_TOLERANCE),
+    _Variant("cosine", "heav", ReprKind.COSINE, (2, 3), 3, _heav_cosine),
+    _Variant("hermite", "heav", ReprKind.HERMITE, (2, 3), 3, _heav_hermite),
 )
 
 _conformance_cache: dict | None = None
@@ -347,12 +271,19 @@ def _evaluate_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> int
         raise RepresentationMismatchError(
             f"{repr_kind.value}/{kind}/{variant.name} failed its truth-table scan; direct form is normative"
         )
-    raw = variant.evaluate(z, shift)
+    return _round_step(
+        variant.evaluate(z, shift),
+        variant.tolerance,
+        f"{repr_kind.value}/{kind}/{variant.name} at (z={z}, shift={shift})",
+    )
+
+
+def _round_step(raw: float, tolerance: float, where: str) -> int:
+    """raw rounded to its 0/1 step value, or RepresentationMismatchError."""
     rounded = round(raw)
-    if abs(raw - rounded) >= variant.tolerance or rounded not in (0, 1):
+    if abs(raw - rounded) >= tolerance or rounded not in (0, 1):
         raise RepresentationMismatchError(
-            f"{repr_kind.value}/{kind}/{variant.name} at (z={z}, shift={shift}) "
-            f"evaluated to {raw!r}, which does not round to a step value"
+            f"{where} evaluated to {raw!r}, which does not round to a step value"
         )
     return int(rounded)
 
@@ -375,16 +306,13 @@ def _heav_gamma_extended(x: int) -> int:
     """Heaviside of any integer through factorial parities alone.
 
     Shift/reflection closure of the two gamma step forms: arguments from -2
-    upward use the parity form directly; anything lower lands in the
-    reflected form, whose factorial argument stays positive. Used by the
+    upward are the parity form at shift 2, anything lower the reflected form
+    at shift 4, whose factorial argument stays positive. Used by the
     determinant engines, whose index sums need steps outside the public
     encoding domains.
     """
     if x >= -2:
-        value = (1.0 + _parity_sign(gamma_int(x + 3))) / 2.0
+        value = _heav_gamma_parity(x + 2, 2)
     else:
-        value = (1.0 - _parity_sign(gamma_int(2 - x))) / 2.0
-    rounded = round(value)
-    if abs(value - rounded) >= CLOSED_FORM_TOLERANCE or rounded not in (0, 1):
-        raise RepresentationMismatchError(f"gamma step closure failed at {x}")
-    return int(rounded)
+        value = _heav_gamma_reflected(x + 4, 4)
+    return _round_step(value, CLOSED_FORM_TOLERANCE, f"gamma step closure at {x}")

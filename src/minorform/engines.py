@@ -73,19 +73,17 @@ _Terms = tuple[tuple[int, tuple[int, ...]], ...]
 def _step(z: int, p: int, repr_kind: ReprKind) -> int:
     """heav(z - p) through the selected encoding.
 
-    The expansion asks for z in 1..n and p in 2..n. The non-gamma encodings
-    exist only on the 3x3 window (p in {2,3}, z in {1,2,3}), which covers
-    every step of n = 3. The gamma encoding is public on p in {2,3} (any
-    z >= 1) and p = 4 (z in 1..4); the remaining arguments of n = 4, 5 go
-    through the private factorial-parity closure.
+    The expansion asks for z in 1..n and p in 2..n. `repr_heav` owns every
+    encoding's domain; outside the gamma domains the step comes from the
+    private factorial-parity closure, which covers the rest of n = 4, 5.
+    Other encodings raise there, as `check_combination` keeps them at n = 3.
     """
-    if repr_kind is ReprKind.DIRECT:
-        return heav(z - p)
-    if repr_kind is ReprKind.GAMMA:
-        if (p in (2, 3) and z >= 1) or (p == 4 and 1 <= z <= 4):
-            return repr_heav(z, p, repr_kind)
+    try:
+        return repr_heav(z, p, repr_kind)
+    except DomainError:
+        if repr_kind is not ReprKind.GAMMA:
+            raise
         return _heav_gamma_extended(z - p)
-    return repr_heav(z, p, repr_kind)
 
 
 def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_kind: ReprKind):
@@ -178,10 +176,17 @@ def _signed_sum(data: tuple[complex, ...], terms) -> complex:
     return total
 
 
+def _finite(det: complex) -> complex:
+    """det itself, or DomainError if it overflowed to inf or nan."""
+    if not cmath.isfinite(det):
+        raise DomainError(f"determinant {det!r} is not finite; entries are out of range")
+    return det
+
+
 def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex:
     """Determinant by the unrolled closed-form sum (sizes 2..5)."""
     check_combination(a.n, Method.CLOSED_FORM, repr_kind)
-    return _signed_sum(a.data, _det_terms(a.n, repr_kind))
+    return _finite(_signed_sum(a.data, _det_terms(a.n, repr_kind)))
 
 
 def _row_max_product(a: Matrix) -> float:
@@ -192,10 +197,9 @@ def _row_max_product(a: Matrix) -> float:
 
 
 def _guard_determinant(a: Matrix, det: complex) -> None:
+    """Refuse a zero determinant and warn on a tiny one; det is already finite."""
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
-    if not cmath.isfinite(det):
-        raise DomainError(f"determinant {det!r} is not finite; entries are out of range")
     if abs(det) < NEAR_SINGULAR_RELATIVE * _row_max_product(a):
         warnings.warn(
             NearSingularWarning(
@@ -262,38 +266,32 @@ def _telescope_det(a: Matrix) -> complex:
     return minor_det((1 << n) - 1)
 
 
-def _require_telescope(a: Matrix, cap: int) -> None:
+def general_det(a: Matrix) -> complex:
+    """Determinant by telescoping first-row expansion (sizes 2..GENERAL_SIZE_CAP)."""
     if a.n < 2:
         raise DomainError(f"telescoping engine needs n >= 2, got {a.n}")
-    if a.n > cap:
-        raise CapacityError(f"telescoping engine capped at n <= {cap}, got {a.n}")
+    if a.n > GENERAL_SIZE_CAP:
+        raise CapacityError(f"telescoping engine capped at n <= {GENERAL_SIZE_CAP}, got {a.n}")
+    return _finite(_telescope_det(a))
 
 
-def general_det(a: Matrix, cap: int = GENERAL_SIZE_CAP) -> complex:
-    """Determinant by telescoping first-row expansion (any size up to cap)."""
-    _require_telescope(a, cap)
-    return _telescope_det(a)
-
-
-def element_inverse(a: Matrix, p: int, q: int, cap: int = GENERAL_SIZE_CAP) -> complex:
+def element_inverse(a: Matrix, p: int, q: int) -> complex:
     """Single inverse entry: the (q, p) entry of the inverse of `a`.
 
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a) with both
     determinants telescoped, so one entry never costs a full inverse.
     """
-    _require_telescope(a, cap)
     a._check_index("row", p)
     a._check_index("column", q)
-    det = _telescope_det(a)
+    det = general_det(a)
     _guard_determinant(a, det)
     numer = _telescope_det(minor_by_formula(a, p, q))
     return (numer if (p + q) % 2 == 0 else -numer) / det
 
 
-def general_inverse(a: Matrix, cap: int = GENERAL_SIZE_CAP) -> Matrix:
-    """Full inverse from telescoped minor determinants (any size up to cap)."""
-    _require_telescope(a, cap)
-    det = _telescope_det(a)
+def general_inverse(a: Matrix) -> Matrix:
+    """Full inverse from telescoped minor determinants (sizes 2..GENERAL_SIZE_CAP)."""
+    det = general_det(a)
     _guard_determinant(a, det)
     n = a.n
     out = [0.0 + 0.0j] * (n * n)

@@ -22,7 +22,6 @@ _PIVOT_FLOOR = 1e-300
 
 class GaussResult(NamedTuple):
     inverse: Matrix
-    residual: float
 
 
 def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
@@ -125,8 +124,8 @@ def gauss_inverse(a: Matrix) -> GaussResult:
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
     Pivots are chosen by largest magnitude; ties keep the first candidate,
-    so the computation is deterministic. Returns the inverse together with
-    its own worst-entry residual against the identity.
+    so the computation is deterministic. Callers that want the worst-entry
+    residual against the identity ask `residual_max_abs` for it.
     """
     if a.n < 1:
         raise DomainError("elimination requires a square matrix")
@@ -147,4 +146,4 @@ def gauss_inverse(a: Matrix) -> GaussResult:
             if factor != 0:
                 aug[r] = [rv - factor * kv for rv, kv in zip(aug[r], aug[k])]
     inverse = Matrix(n, tuple(aug[r][n + c] for r in range(n) for c in range(n)))
-    return GaussResult(inverse, residual_max_abs(a, inverse))
+    return GaussResult(inverse)

@@ -38,16 +38,15 @@ SPARSE_DEFAULT_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0)
 class TrialConfig:
     """Validated harness parameters.
 
-    The encoding field is checked for compatibility and echoed in reports,
-    but trials always run the step-exact index tables; encodings are a
-    property of how tables are built, not of the arithmetic compared here.
+    There is no encoding field: the inverse engines read step-exact index
+    tables, so every encoding gives the same trials. The combination is
+    checked with the direct encoding.
     """
 
     trials: int
     size: int
     seed: int = 0
     method: Method = Method.CLOSED_FORM
-    repr_kind: ReprKind = ReprKind.DIRECT
     complex_entries: bool = False
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class TrialConfig:
             raise UnsupportedCombinationError(
                 f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {self.size}"
             )
-        check_combination(self.size, self.method, self.repr_kind)
+        check_combination(self.size, self.method, ReprKind.DIRECT)
 
 
 @dataclass(frozen=True)

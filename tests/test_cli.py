@@ -163,8 +163,8 @@ def test_validate_rejects_bad_combo(capsys, tmp_path):
         capsys,
         "validate",
         "--trials", "5",
-        "--size", "4",
-        "--repr", "bessel",
+        "--size", "6",
+        "--method", "closed",
         "--out", str(tmp_path / "h.csv"),
     )
     assert code == 4
@@ -230,6 +230,20 @@ def test_unsupported_combinations_exit_4(capsys, argv):
     assert "unsupported" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invert", "--random", "3", "--repr", "gamma"),
+        ("validate", "--trials", "5", "--size", "3", "--out", "h.csv", "--repr", "cosine"),
+    ],
+)
+def test_repr_is_a_det_option_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "det", "--help")[0] == 0
@@ -293,9 +307,10 @@ def test_oversized_json_integer_exits_3(capsys, tmp_path, digits):
     assert err.startswith("error: ")
 
 
-def test_overflowing_determinant_exits_3_not_a_zero_inverse(capsys, tmp_path):
+@pytest.mark.parametrize("verb", ["det", "invert"])
+def test_overflowing_determinant_exits_3_not_a_zero_inverse(capsys, tmp_path, verb):
     big = Matrix.from_rows([[1e70 if r == c else 0 for c in range(5)] for r in range(5)])
-    code, out, err = run_cli(capsys, "invert", "--input", str(matrix_file(tmp_path, big)))
+    code, out, err = run_cli(capsys, verb, "--input", str(matrix_file(tmp_path, big)))
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "not finite" in err

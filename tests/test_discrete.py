@@ -159,5 +159,5 @@ def test_conformance_scan_is_clean():
     report = conformance_report()
     assert report["failures"] == []
     assert report["unavailable"] == []
-    # every variant contributed: 5 delta + 6 heav tables, smallest has 4 points
-    assert report["checked"] >= 60
+    # 5 delta + 6 heav domains: 3 + 24 + 9 + 9 + 9 and 6 + 24 + 4 + 6 + 6 + 6 points
+    assert report["checked"] == 106

@@ -26,6 +26,7 @@ from minorform import (
     leibniz_det,
     minor_by_formula,
     random_matrix,
+    residual_max_abs,
 )
 
 DET_RTOL = 1e-12
@@ -111,7 +112,7 @@ def test_closed_inverse_identity_law():
     for n in (2, 3, 4, 5):
         a = random_matrix(n, seed=300 + n)
         inv = closed_form_inverse(a)
-        assert gauss_inverse(a).residual <= 1e-12
+        assert residual_max_abs(a, gauss_inverse(a).inverse) <= 1e-12
         product_defect = max(
             abs(sum(a.entry(r, k) * inv.entry(k, c) for k in range(1, n + 1)) - (r == c))
             for r in range(1, n + 1)
@@ -189,11 +190,7 @@ def test_general_engine_cap_is_configurable():
     with pytest.raises(CapacityError):
         general_det(identity(9))
     with pytest.raises(CapacityError):
-        general_inverse(random_matrix(9, seed=1), cap=8)
-    a = random_matrix(3, seed=8)
-    with pytest.raises(CapacityError):
-        general_det(a, cap=2)
-    assert general_det(a, cap=3) == general_det(a)
+        general_inverse(random_matrix(9, seed=1))
     with pytest.raises(DomainError):
         general_det(identity(1))
 
@@ -297,6 +294,21 @@ def test_closed_inverse_is_the_flat_sum_over_deletion_minors(n):
                 assert inv.entry(r, c) == numer / det
 
 
+def test_every_allowed_encoding_expands_to_the_direct_columns():
+    from minorform.engines import Method, _column_terms, check_combination
+
+    checked = 0
+    for n in (2, 3, 4, 5):
+        for repr_kind in ENCODED:
+            try:
+                check_combination(n, Method.CLOSED_FORM, repr_kind)
+            except UnsupportedCombinationError:
+                continue
+            assert _column_terms(n, repr_kind) == _column_terms(n, ReprKind.DIRECT)
+            checked += 1
+    assert checked == 7  # gamma at n = 2..5, the three window encodings at n = 3
+
+
 ZERO_PIVOT_CASES = [
     [[0, 1, 2], [3, 0, 4], [5, 6, 0]],
     [[0, 0, 1, 2], [3, 0, 4, 0], [5, 6, 0, 1], [1, 1, 1, 1]],
@@ -350,8 +362,10 @@ def test_telescope_extracts_only_first_level_minors(monkeypatch):
         (closed_form_inverse, 5, 1e70),
         (general_inverse, 6, 1e60),
         (lambda a: element_inverse(a, 1, 1), 6, 1e60),
+        (closed_form_det, 5, 1e70),
+        (general_det, 6, 1e60),
     ],
-    ids=["closed", "general", "element"],
+    ids=["closed", "general", "element", "closed_det", "general_det"],
 )
 def test_overflowing_determinant_raises_instead_of_zero_inverse(invert, n, scale):
     a = Matrix.from_rows([[scale if r == c else 0 for c in range(n)] for r in range(n)])

@@ -8,7 +8,6 @@ from minorform import (
     DomainError,
     Matrix,
     Method,
-    ReprKind,
     TrialConfig,
     UnsupportedCombinationError,
     histogram_csv,
@@ -79,11 +78,6 @@ def test_trial_config_validation():
     with pytest.raises(UnsupportedCombinationError):
         TrialConfig(trials=1, size=6)  # closed form stops at 5
     TrialConfig(trials=1, size=6, method=Method.TELESCOPE)
-    with pytest.raises(UnsupportedCombinationError):
-        TrialConfig(trials=1, size=4, method=Method.TELESCOPE, repr_kind=ReprKind.GAMMA)
-    with pytest.raises(UnsupportedCombinationError):
-        TrialConfig(trials=1, size=4, repr_kind=ReprKind.BESSEL)  # window is size 3
-    TrialConfig(trials=1, size=3, repr_kind=ReprKind.BESSEL)
 
 
 def test_run_trials_is_deterministic():
