@@ -1,13 +1,15 @@
 """Closed-form determinant and inverse engines.
 
-Every closed-form table and the symbolic expansion come from one
+The determinant's expansion is the only term table. It comes from one
 survivor-map expansion: the determinant is expanded along its first row,
 and deleting position s leaves each later position t reading column
 kappa(t, s) = t + 1 - heav(s - t - 1) of its parent, with the step
 optionally routed through a standard-function encoding. The n x n
-determinant table (n = 2..5) is that expansion as flat offsets; the
-inverse tables are the size n-1 expansion read through the row and column
-survivor maps of the deleted row and column. The general engine
+determinant table (n = 2..5) is that expansion as flat offsets, and the
+symbolic expansion is the same table as column tuples. The inverse tables
+are the det table's derivatives: by Jacobi's formula the cofactor of
+a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
+factor dropped. The general engine
 telescopes: it expands along the first row without building minor
 matrices, naming each nested minor by the set of columns it keeps (its
 rows are the last ones) and evaluating each set once per determinant,
@@ -19,13 +21,12 @@ afterwards is pure arithmetic over the flat entry buffer.
 
 from __future__ import annotations
 
-import cmath
 import warnings
-from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
+from typing import NamedTuple
 
-from .discrete import ReprKind, _heav_gamma_extended, heav, repr_heav
+from .discrete import ReprKind, _heav_gamma_extended, repr_heav
 from .errors import (
     CapacityError,
     DomainError,
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .matrices import Matrix, minor_by_formula
-from .oracles import _LEIBNIZ_MAX
+from .oracles import _LEIBNIZ_MAX, _finite
 
 CLOSED_FORM_SIZES = (2, 3, 4, 5)
 GENERAL_SIZE_CAP = 8
@@ -54,20 +55,16 @@ class Method(Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class SignedTerm:
+class SignedTerm(NamedTuple):
     """One signed product of a determinant expansion.
 
     columns[r - 1] is the original column read by row r; sign carries the
-    accumulated expansion parity.
+    accumulated expansion parity. The cached expansion is a tuple of these,
+    and `expand_terms` returns it as it is.
     """
 
     sign: int
     columns: tuple[int, ...]
-
-
-# (sign, columns) or (sign, flat offsets) of every product, in expansion order
-_Terms = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _step(z: int, p: int, repr_kind: ReprKind) -> int:
@@ -87,7 +84,7 @@ def _step(z: int, p: int, repr_kind: ReprKind) -> int:
 
 
 def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_kind: ReprKind):
-    """Yield (sign, columns) of every product of the determinant over colmap.
+    """Yield the SignedTerm of every product of the determinant over colmap.
 
     chosen holds the columns taken by the rows above and sign their parity.
     Deleting position s leaves the child map colmap[kappa(t, s) - 1] for
@@ -95,7 +92,7 @@ def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_ki
     step read through the encoding.
     """
     if len(colmap) == 1:
-        yield sign, chosen + colmap
+        yield SignedTerm(sign, chosen + colmap)
         return
     for s in range(1, len(colmap) + 1):
         child = tuple(colmap[t - _step(s, t + 1, repr_kind)] for t in range(1, len(colmap)))
@@ -103,13 +100,13 @@ def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_ki
 
 
 @lru_cache(maxsize=None)
-def _column_terms(n: int, repr_kind: ReprKind) -> _Terms:
+def _column_terms(n: int, repr_kind: ReprKind) -> tuple[SignedTerm, ...]:
     """Signed column tuples of the n x n determinant in expansion order."""
     return tuple(_expand(tuple(range(1, n + 1)), 1, (), repr_kind))
 
 
 @lru_cache(maxsize=None)
-def _det_terms(n: int, repr_kind: ReprKind) -> _Terms:
+def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Signed flat-offset products of the n x n determinant."""
     return tuple(
         (sign, tuple(r * n + c - 1 for r, c in enumerate(columns)))
@@ -118,29 +115,18 @@ def _det_terms(n: int, repr_kind: ReprKind) -> _Terms:
 
 
 @lru_cache(maxsize=None)
-def _inverse_terms(n: int) -> dict[tuple[int, int], _Terms]:
-    """Signed flat-offset numerator products per inverse entry (r, c).
+def _inverse_terms(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Signed flat-offset numerator products of each inverse entry, row-major.
 
-    Entry (r, c) of the inverse is its signed sum divided by the
-    determinant: the size n-1 table read through the survivor maps of the
-    deleted row c (row t -> t + heav(t - c)) and the deleted column r
-    (column k -> k + heav(k - r)).
+    The cofactor of a[i, j] is d det / d a[i, j]: every det product that
+    holds offset i*n + j, in expansion order, with that factor dropped and
+    its sign kept. Over the determinant it is inverse entry (j, i).
     """
-    minor = _column_terms(n - 1, ReprKind.DIRECT)
-    return {
-        (r, c): tuple(
-            (
-                sign if (r + c) % 2 == 0 else -sign,
-                tuple(
-                    (t + heav(t - c) - 1) * n + k + heav(k - r) - 1
-                    for t, k in enumerate(columns, 1)
-                ),
-            )
-            for sign, columns in minor
-        )
-        for r in range(1, n + 1)
-        for c in range(1, n + 1)
-    }
+    numerators = [[] for _ in range(n * n)]
+    for sign, offsets in _det_terms(n, ReprKind.DIRECT):
+        for k, o in enumerate(offsets):
+            numerators[o % n * n + o // n].append((sign, offsets[:k] + offsets[k + 1 :]))
+    return tuple(map(tuple, numerators))
 
 
 def check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
@@ -176,13 +162,6 @@ def _signed_sum(data: tuple[complex, ...], terms) -> complex:
     return total
 
 
-def _finite(det: complex) -> complex:
-    """det itself, or DomainError if it overflowed to inf or nan."""
-    if not cmath.isfinite(det):
-        raise DomainError(f"determinant {det!r} is not finite; entries are out of range")
-    return det
-
-
 def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex:
     """Determinant by the unrolled closed-form sum (sizes 2..5)."""
     check_combination(a.n, Method.CLOSED_FORM, repr_kind)
@@ -213,19 +192,13 @@ def _guard_determinant(a: Matrix, det: complex) -> None:
 def closed_form_inverse(a: Matrix) -> Matrix:
     """Inverse by the unrolled adjugate sums over one shared determinant.
 
-    The encoding parameter is deliberately absent: inverse index tables are
-    step-exact integers, so every encoding that passes its truth tables
-    produces this same table.
+    `closed_form_det` checks the size. The encoding parameter is
+    deliberately absent: every allowed encoding expands to the direct
+    columns, so the numerators read the direct det table.
     """
-    check_combination(a.n, Method.CLOSED_FORM, ReprKind.DIRECT)
     det = closed_form_det(a)
     _guard_determinant(a, det)
-    table = _inverse_terms(a.n)
-    data = a.data
-    out = [0.0 + 0.0j] * (a.n * a.n)
-    for (r, c), terms in table.items():
-        out[(r - 1) * a.n + (c - 1)] = _signed_sum(data, terms) / det
-    return Matrix(a.n, tuple(out))
+    return Matrix(a.n, tuple(_signed_sum(a.data, terms) / det for terms in _inverse_terms(a.n)))
 
 
 def _telescope_det(a: Matrix) -> complex:
@@ -316,5 +289,4 @@ def expand_terms(n: int) -> tuple[SignedTerm, ...]:
         raise DomainError(f"expansion needs an integer size >= 2, got {n!r}")
     if n > GENERAL_SIZE_CAP:
         raise CapacityError(f"expansion capped at n <= {GENERAL_SIZE_CAP}, got {n}")
-    terms = _column_terms(n, ReprKind.DIRECT)
-    return tuple(SignedTerm(sign, columns) for sign, columns in terms)
+    return _column_terms(n, ReprKind.DIRECT)

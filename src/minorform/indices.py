@@ -82,25 +82,25 @@ def reflected_primed_index(k: int, hist: IndexHistory) -> int:
 
 
 def _expanded(base: int, chain: tuple[int, ...]) -> int:
-    # Branch-sum evaluation: each inner deletion either did (u=1) or did not
-    # (u=0) sit at-or-below the running index, contributing its step gate;
-    # exactly one u-tuple has all gates open, and it reproduces the fold.
+    # Branch-sum evaluation: bit m-1 of the branch number says whether the
+    # m-th inner deletion did (1) or did not (0) sit at-or-below the running
+    # index, contributing its step gate and, if it did, advancing the index;
+    # exactly one branch has all gates open, and it reproduces the fold.
     k = len(chain)
     total = 0
     for bits in range(1 << (k - 1)):
-        u = [(bits >> m) & 1 for m in range(k - 1)]
-        gates = 1
+        index, gates = base, 1
         for m in range(1, k):
             deleted = chain[k - m]  # innermost deletion handled first
-            prev = base + sum(u[:m - 1])
-            if u[m - 1]:
-                gates *= heav(prev - deleted)
+            if bits >> (m - 1) & 1:
+                gates *= heav(index - deleted)
+                index += 1
             else:
-                gates *= heav(deleted - prev - 1)
+                gates *= heav(deleted - index - 1)
             if gates == 0:
                 break
         if gates:
-            total += gates * kappa(base + sum(u), chain[0])
+            total += gates * kappa(index, chain[0])
     return total
 
 

@@ -13,8 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .discrete import heav
 from .errors import DomainError, ParseError
+from .indices import kappa
 from .rng import SplitMix64
 
 # One-position-per-row 5x5 patterns whose determinants stay single products
@@ -96,23 +96,20 @@ def minor_by_deletion(a: Matrix, row: int, col: int) -> Matrix:
 
 
 def minor_by_formula(a: Matrix, row: int, col: int) -> Matrix:
-    """Minor matrix via the step-function index map, no element shifting.
+    """Minor matrix via the survivor map, no element shifting.
 
-    Entry (r, s) of the minor reads the source at row r + 1 - heav(row - r - 1)
-    and column s + 1 - heav(col - s - 1): positions before the deleted line map
-    to themselves, later ones skip past it.
+    Entry (r, s) of the minor reads the source at row kappa(r, row) and
+    column kappa(s, col): positions before the deleted line map to
+    themselves, later ones skip past it. Each map is computed once.
     """
     if a.n < 2:
         raise DomainError("a 1x1 matrix has no minors")
     a._check_index("row", row)
     a._check_index("column", col)
-    m = a.n - 1
-    kept = [
-        a.entry(r + 1 - heav(row - r - 1), s + 1 - heav(col - s - 1))
-        for r in range(1, m + 1)
-        for s in range(1, m + 1)
-    ]
-    return Matrix(m, tuple(kept))
+    n = a.n
+    rows = [(kappa(r, row) - 1) * n for r in range(1, n)]
+    cols = [kappa(s, col) - 1 for s in range(1, n)]
+    return Matrix(n - 1, tuple(a.data[r + s] for r in rows for s in cols))
 
 
 def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:

@@ -8,6 +8,7 @@ mutable augmented tableau. Slow and obvious on purpose.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError, SingularMatrixError
@@ -22,6 +23,13 @@ _PIVOT_FLOOR = 1e-300
 
 class GaussResult(NamedTuple):
     inverse: Matrix
+
+
+def _finite(det: complex) -> complex:
+    """det itself, or DomainError if it overflowed to inf or nan."""
+    if not cmath.isfinite(det):
+        raise DomainError(f"determinant {det!r} is not finite; entries are out of range")
+    return det
 
 
 def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
@@ -50,8 +58,8 @@ def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
 
 
 def leibniz_det(a: Matrix) -> complex:
-    """Determinant as the full signed sum over permutations."""
-    return sum(sign * product for sign, product in leibniz_terms(a))
+    """Determinant as the full signed sum over permutations; DomainError if not finite."""
+    return _finite(sum(sign * product for sign, product in leibniz_terms(a)))
 
 
 def laplace_det(a: Matrix) -> complex:
@@ -69,10 +77,10 @@ def laplace_det(a: Matrix) -> complex:
 
 
 def cofactor_inverse(a: Matrix) -> Matrix:
-    """Inverse as transposed cofactors over the determinant."""
+    """Inverse as transposed cofactors over the determinant; DomainError if it is not finite."""
     if a.n < 2:
         raise DomainError("cofactor inverse is defined for n >= 2")
-    det = laplace_det(a)
+    det = _finite(laplace_det(a))
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
     out = [0.0 + 0.0j] * (a.n * a.n)

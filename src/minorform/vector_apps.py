@@ -8,12 +8,20 @@ of being written out, so each identity is a two-term sum per component.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 from .discrete import gamma_int
 from .errors import DomainError
 
 Vec3 = tuple[complex, complex, complex]
+
+
+def _require_finite(values, what: str) -> None:
+    for v in values:
+        if not cmath.isfinite(v):
+            raise DomainError(f"{what} {v!r} is not finite")
 
 
 def _index_pair(l: int, j: int) -> tuple[int, int]:
@@ -43,8 +51,12 @@ class CurlInput:
             raise DomainError(
                 f"scale factors must be three positive reals, got {self.scale_factors!r}"
             )
+        volume = h[0] * h[1] * h[2]
+        if not 0 < volume < math.inf:
+            raise DomainError(f"scale factor product {volume!r} is not a positive finite float")
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise DomainError("partials must form a 3x3 array")
+        _require_finite((v for row in rows for v in row), "partial")
         object.__setattr__(self, "scale_factors", h)
         object.__setattr__(self, "partials", rows)
 
@@ -61,6 +73,7 @@ def curl_components(inp: CurlInput) -> Vec3:
             term = inp.partials[row - 1][col - 1]
             total += term if (j + l) % 2 == 0 else -term
         out.append(inp.scale_factors[l - 1] / volume * total)
+    _require_finite(out, "curl component")
     return tuple(out)
 
 
@@ -74,10 +87,12 @@ def scalar_triple(a, b, c) -> complex:
         raise DomainError(f"vector input is not numeric: {exc}") from exc
     if len(a) != 3 or len(b) != 3 or len(c) != 3:
         raise DomainError("scalar_triple takes three 3-component vectors")
+    _require_finite(a + b + c, "vector component")
     total = 0.0 + 0.0j
     for l in (1, 2, 3):
         for j in (0, 1):
             row, col = _index_pair(l, j)
             term = a[l - 1] * b[col - 1] * c[row - 1]
             total += term if (j + l) % 2 == 0 else -term
+    _require_finite((total,), "scalar triple product")
     return total

@@ -1,9 +1,13 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minorform import Matrix, parse_matrix, write_matrix
 from minorform.cli import main
@@ -206,6 +210,9 @@ def test_volume_output(capsys):
         ("volume", "--a", "1,2", "--b", "1,0,0", "--c", "0,0,1"),  # short vector
         ("curl", "--h", "1,1,1", "--d", "1,2,3"),
         ("nonsense",),
+        ("curl", "--h", "1e-200,1e-200,1e-200", "--d", "1,2,3,4,5,6,7,8,9"),  # h1 h2 h3 underflows
+        ("volume", "--a", "1e200,1,1", "--b", "1,1e200,1", "--c", "1,1,1e200"),  # overflows
+        ("volume", "--a", "nan,1,1", "--b", "1,1,1", "--c", "1,1,1"),
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
@@ -274,6 +281,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("invert_random_3_seed_1_complex", ("invert", "--random", "3", "--seed", "1", "--complex")),
         ("validate_trials_300_size_5_seed_4", ("validate", "--trials", "300", "--size", "5", "--seed", "4")),
         ("invert_random_8_seed_1", ("invert", "--random", "8", "--seed", "1")),
+        # 25 of its fields are -0.0, a sign that == comparisons cannot see
+        ("signed_zeros4", ("invert", "--input", str(GOLDEN / "signed_zeros4.json"))),
     ],
 )
 def test_stdout_matches_golden_bytes(capsys, tmp_path, name, argv):
@@ -307,10 +316,55 @@ def test_oversized_json_integer_exits_3(capsys, tmp_path, digits):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("verb", ["det", "invert"])
-def test_overflowing_determinant_exits_3_not_a_zero_inverse(capsys, tmp_path, verb):
+@pytest.mark.parametrize(
+    "verb, extra",
+    [
+        ("det", ()),
+        ("invert", ()),
+        ("det", ("--method", "oracle")),
+        ("invert", ("--method", "oracle")),
+    ],
+    ids=["det", "invert", "det-oracle", "invert-oracle"],
+)
+def test_overflowing_determinant_exits_3_not_a_zero_inverse(capsys, tmp_path, verb, extra):
     big = Matrix.from_rows([[1e70 if r == c else 0 for c in range(5)] for r in range(5)])
-    code, out, err = run_cli(capsys, verb, "--input", str(matrix_file(tmp_path, big)))
+    code, out, err = run_cli(capsys, verb, "--input", str(matrix_file(tmp_path, big)), *extra)
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "not finite" in err
+
+
+# nan, both infinities, subnormals, values near the overflow edge and ordinary ones
+edge_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-200, 0.0, -0.0, 1.0]),
+)
+
+
+def joined(values):
+    return ",".join(repr(v) for v in values)
+
+
+def floats(count):
+    return st.lists(edge_floats, min_size=count, max_size=count)
+
+
+curl_argv = st.tuples(floats(3), floats(9)).map(
+    lambda hd: ["curl", "--h=" + joined(hd[0]), "--d=" + joined(hd[1])]
+)
+volume_argv = floats(9).map(
+    lambda v: ["volume", "--a=" + joined(v[0:3]), "--b=" + joined(v[3:6]), "--c=" + joined(v[6:9])]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(curl_argv, volume_argv))
+def test_vector_verbs_print_finite_numbers_or_exit_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3)
+    if code == 0:
+        assert all(math.isfinite(float(v)) for v in out.getvalue().split())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

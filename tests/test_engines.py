@@ -294,6 +294,30 @@ def test_closed_inverse_is_the_flat_sum_over_deletion_minors(n):
                 assert inv.entry(r, c) == numer / det
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_inverse_tables_are_the_survivor_map_reading(n):
+    # the paper's construction: the numerator of inverse entry (r, c) is the
+    # size n-1 expansion read through kappa(., c) on rows and kappa(., r) on
+    # columns, signed by (r + c); the engine derives it from the det table
+    from minorform import kappa
+    from minorform.engines import _inverse_terms
+
+    table = _inverse_terms(n)
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            expected = [
+                (
+                    sign if (r + c) % 2 == 0 else -sign,
+                    tuple(
+                        (kappa(t, c) - 1) * n + kappa(k, r) - 1
+                        for t, k in enumerate(columns, 1)
+                    ),
+                )
+                for sign, columns in expansion_order(n - 1)
+            ]
+            assert list(table[(r - 1) * n + (c - 1)]) == expected
+
+
 def test_every_allowed_encoding_expands_to_the_direct_columns():
     from minorform.engines import Method, _column_terms, check_combination
 

@@ -6,6 +6,7 @@ import pytest
 
 from minorform import (
     CapacityError,
+    DomainError,
     Matrix,
     SingularMatrixError,
     cofactor_inverse,
@@ -110,3 +111,12 @@ def test_residual_is_zero_only_for_a_true_inverse():
     bad = Matrix.from_rows([[0.5, 0], [0, 0.6]])
     assert residual_max_abs(a, good) == 0.0
     assert residual_max_abs(a, bad) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "oracle", [leibniz_det, cofactor_inverse], ids=["leibniz_det", "cofactor_inverse"]
+)
+def test_oracles_raise_on_an_overflowing_determinant(oracle):
+    big = Matrix.from_rows([[1e70 if r == c else 0 for c in range(5)] for r in range(5)])
+    with pytest.raises(DomainError, match="not finite"):
+        oracle(big)

@@ -96,6 +96,14 @@ def test_curl_input_validation():
         CurlInput((1, 1, 1), ((0,) * 3,) * 2)
     with pytest.raises(DomainError):
         CurlInput((1, 1, 1), (("a",) * 3,) * 3)
+    with pytest.raises(DomainError):
+        CurlInput((1e-200, 1e-200, 1e-200), ((1,) * 3,) * 3)  # h1 h2 h3 underflows to 0
+    with pytest.raises(DomainError):
+        CurlInput((1e200, 1e200, 1), ((1,) * 3,) * 3)  # h1 h2 h3 overflows
+    with pytest.raises(DomainError):
+        CurlInput((1, 1, 1), ((0, float("nan"), 0), (0,) * 3, (0,) * 3))
+    with pytest.raises(DomainError, match="not finite"):
+        curl_components(CurlInput((1e-150, 1e-150, 1e300), ((0, 0, 0), (1e300, 0, 0), (0, 0, 0))))
 
 
 def test_scalar_triple_unit_vectors():
@@ -147,3 +155,9 @@ def test_scalar_triple_validation():
         scalar_triple((1, 2), (0, 1, 0), (0, 0, 1))
     with pytest.raises(DomainError):
         scalar_triple((1, 2, "x"), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(DomainError):
+        scalar_triple((float("nan"), 1, 1), (1, 1, 1), (1, 1, 1))
+    with pytest.raises(DomainError):
+        scalar_triple((float("inf"), 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(DomainError, match="not finite"):
+        scalar_triple((1e200, 1, 1), (1, 1e200, 1), (1, 1, 1e200))
