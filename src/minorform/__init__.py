@@ -30,7 +30,6 @@ from .engines import (
     general_inverse,
 )
 from .errors import (
-    CapacityError,
     DomainError,
     NearSingularWarning,
     ParseError,
@@ -59,7 +58,6 @@ from .matrices import (
 from .oracles import (
     GaussResult,
     cofactor_inverse,
-    elimination_det,
     gauss_inverse,
     laplace_det,
     leibniz_det,
@@ -83,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLOSED_FORM_SIZES",
-    "CapacityError",
     "CurlInput",
     "DomainError",
     "GENERAL_SIZE_CAP",
@@ -110,7 +107,6 @@ __all__ = [
     "conformance_report",
     "curl_components",
     "element_inverse",
-    "elimination_det",
     "expand_terms",
     "gamma_int",
     "gauss_inverse",

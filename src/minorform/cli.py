@@ -12,6 +12,7 @@ size/method/encoding combination.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -28,7 +29,6 @@ from .engines import (
     general_inverse,
 )
 from .errors import (
-    CapacityError,
     DomainError,
     NearSingularWarning,
     ParseError,
@@ -51,6 +51,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1,0,0 is a number, not a flag: no flag starts -digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse would sys.exit(2); keep codes ours
         raise _UsageError(message)
 
@@ -149,8 +154,6 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.size < 2:
-        raise UnsupportedCombinationError(f"expansion needs size >= 2, got {args.size}")
     for term in expand_terms(args.size):
         sign = "+" if term.sign > 0 else "-"
         print(sign + " " + " ".join(str(c) for c in term.columns))
@@ -277,7 +280,7 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"error: singular matrix: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (UnsupportedCombinationError, CapacityError) as exc:
+    except UnsupportedCombinationError as exc:
         print(f"error: unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ParseError, DomainError) as exc:

@@ -16,7 +16,9 @@ rows are the last ones) and evaluating each set once per determinant,
 down to the closed 2x2 form.
 
 Index tables per (size, encoding) are computed once and cached; evaluation
-afterwards is pure arithmetic over the flat entry buffer.
+afterwards is pure arithmetic over the flat entry buffer. `check_combination`
+is the engines' one size check: a size, method or encoding an engine does
+not cover raises UnsupportedCombinationError.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .discrete import ReprKind, _heav_gamma_extended, repr_heav
-from .errors import (
-    CapacityError,
-    DomainError,
-    NearSingularWarning,
-    SingularMatrixError,
-    UnsupportedCombinationError,
-)
+from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
 from .matrices import Matrix, minor_by_formula
 from .oracles import _LEIBNIZ_MAX, _finite
 
@@ -241,10 +237,7 @@ def _telescope_det(a: Matrix) -> complex:
 
 def general_det(a: Matrix) -> complex:
     """Determinant by telescoping first-row expansion (sizes 2..GENERAL_SIZE_CAP)."""
-    if a.n < 2:
-        raise DomainError(f"telescoping engine needs n >= 2, got {a.n}")
-    if a.n > GENERAL_SIZE_CAP:
-        raise CapacityError(f"telescoping engine capped at n <= {GENERAL_SIZE_CAP}, got {a.n}")
+    check_combination(a.n, Method.TELESCOPE, ReprKind.DIRECT)
     return _finite(_telescope_det(a))
 
 
@@ -285,8 +278,7 @@ def expand_terms(n: int) -> tuple[SignedTerm, ...]:
     in deterministic expansion order and their signs reproduce the
     permutation parities of the Leibniz sum.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"expansion needs an integer size >= 2, got {n!r}")
-    if n > GENERAL_SIZE_CAP:
-        raise CapacityError(f"expansion capped at n <= {GENERAL_SIZE_CAP}, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"expansion needs an integer size, got {n!r}")
+    check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)
     return _column_terms(n, ReprKind.DIRECT)

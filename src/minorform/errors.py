@@ -1,12 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+DomainError marks an operation undefined for its argument, and
+UnsupportedCombinationError one that the chosen engine does not cover.
+"""
 
 
 class DomainError(ValueError):
     """An argument lies outside the declared domain of an operation."""
-
-
-class CapacityError(ValueError):
-    """The request is valid but exceeds a configured size cap."""
 
 
 class SingularMatrixError(ArithmeticError):
@@ -29,7 +29,7 @@ class RepresentationMismatchError(ArithmeticError):
 
 
 class UnsupportedCombinationError(ValueError):
-    """The (size, method, representation) combination is not supported."""
+    """The operation is defined, but the chosen engine does not cover this size, method or encoding."""
 
 
 class NearSingularWarning(UserWarning):

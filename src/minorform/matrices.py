@@ -212,6 +212,8 @@ def parse_matrix(text: bytes | str) -> Matrix:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise ParseError("a number in the input is out of range") from exc
+    except RecursionError as exc:
+        raise ParseError("the input nests too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     unknown = sorted(set(obj) - {"n", "re", "im"})

@@ -2,8 +2,10 @@
 
 Nothing here shares index arithmetic with the closed-form engines: the
 determinant enumerates permutations directly, the inverse builds classical
-adjugates from literal row/column deletion, and elimination works on a
-mutable augmented tableau. Slow and obvious on purpose.
+adjugates from literal row/column deletion, and Gauss-Jordan elimination
+works on a mutable augmented tableau. Slow and obvious on purpose. The
+permutation sum and the adjugate check their own sizes, because `engines`,
+home of `check_combination`, imports this module.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import cmath
 from typing import Iterator, NamedTuple
 
-from .errors import CapacityError, DomainError, SingularMatrixError
+from .errors import DomainError, SingularMatrixError, UnsupportedCombinationError
 from .matrices import Matrix, minor_by_deletion
 
 _LEIBNIZ_MAX = 9  # n! products; 9! = 362880 is the largest tolerable sum
@@ -40,7 +42,7 @@ def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
     the sign k times.
     """
     if a.n > _LEIBNIZ_MAX:
-        raise CapacityError(f"permutation enumeration capped at n <= {_LEIBNIZ_MAX}")
+        raise UnsupportedCombinationError(f"permutation sum covers n <= {_LEIBNIZ_MAX}, got {a.n}")
 
     def recurse(row: int, remaining: list[int], sign: int, partial: complex):
         if not remaining:
@@ -79,7 +81,7 @@ def laplace_det(a: Matrix) -> complex:
 def cofactor_inverse(a: Matrix) -> Matrix:
     """Inverse as transposed cofactors over the determinant; DomainError if it is not finite."""
     if a.n < 2:
-        raise DomainError("cofactor inverse is defined for n >= 2")
+        raise UnsupportedCombinationError(f"cofactor inverse covers n >= 2, got {a.n}")
     det = _finite(laplace_det(a))
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
@@ -106,26 +108,6 @@ def residual_max_abs(a: Matrix, x: Matrix) -> float:
                 acc -= 1.0
             worst = max(worst, abs(acc))
     return worst
-
-
-def elimination_det(a: Matrix) -> complex:
-    """Determinant as the signed pivot product of partial-pivoting elimination."""
-    n = a.n
-    rows = [list(row) for row in a.rows()]
-    det = 1.0 + 0.0j
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        if abs(rows[pivot_row][k]) < _PIVOT_FLOOR:
-            return 0.0 + 0.0j
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for r in range(k + 1, n):
-            factor = rows[r][k] / rows[k][k]
-            if factor != 0:
-                rows[r] = [rv - factor * kv for rv, kv in zip(rows[r], rows[k])]
-    return det
 
 
 def gauss_inverse(a: Matrix) -> GaussResult:

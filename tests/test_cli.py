@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minorform import Matrix, parse_matrix, write_matrix
 from minorform.cli import main
@@ -229,6 +231,9 @@ def test_usage_errors_exit_3(capsys, argv):
         ("det", "--random", "4", "--method", "telescope", "--repr", "gamma"),
         ("det", "--random", "10", "--method", "oracle"),
         ("invert", "--random", "9"),  # telescope default above closed sizes, cap is 8
+        ("det", "--random", "1"),
+        ("det", "--random", "9", "--method", "telescope"),
+        ("validate", "--trials", "2", "--size", "9", "--method", "oracle", "--out", "h.csv"),
     ],
 )
 def test_unsupported_combinations_exit_4(capsys, argv):
@@ -283,6 +288,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("invert_random_8_seed_1", ("invert", "--random", "8", "--seed", "1")),
         # 25 of its fields are -0.0, a sign that == comparisons cannot see
         ("signed_zeros4", ("invert", "--input", str(GOLDEN / "signed_zeros4.json"))),
+        ("sparse_check", ("sparse-check",)),
     ],
 )
 def test_stdout_matches_golden_bytes(capsys, tmp_path, name, argv):
@@ -291,6 +297,43 @@ def test_stdout_matches_golden_bytes(capsys, tmp_path, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # the permutation-sum determinant underflows to 0
+        (("sparse-check", "--values=1e-100,1e-100,1e-100,1e-100,1e-100"), None),
+        # json.loads recurses once per bracket
+        (("det", "--input", "{input}"), "[" * 100_000),
+    ],
+    ids=["sparse-underflow", "deep-json"],
+)
+def test_former_tracebacks_exit_3(capsys, tmp_path, argv, text):
+    if text is not None:
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        argv = tuple(str(path) if arg == "{input}" else arg for arg in argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_comma_lists_may_start_with_a_minus_sign(capsys):
+    rest = ("--b", "0,1,0", "--c", "0,0,1")
+    spaced = run_cli(capsys, "volume", "--a", "-1,0,0", *rest)
+    assert spaced == run_cli(capsys, "volume", "--a=-1,0,0", *rest)
+    assert spaced[:2] == (0, "-1.0000000000000000e+00 1.0000000000000000e+00\n")
+    assert run_cli(capsys, "volume", "--a", "-.5,0,0", *rest)[:2] == (
+        0,
+        "-5.0000000000000000e-01 5.0000000000000000e-01\n",
+    )
+    code, out, _ = run_cli(capsys, "curl", "--h", "1,1,1", "--d", "-1,0,0,0,0,0,0,1,0")
+    assert code == 0 and out.split()[0] == "1.0000000000000000e+00"
+    assert run_cli(capsys, "sparse-check", "--values", "-1,-2,-3,-4,-5")[0] == 0
+    assert run_cli(capsys, "volume", "--a", "-x,0,0", *rest)[0] == 3
+    assert run_cli(capsys, "det", "--random", "-3")[0] == 3
 
 
 def test_random_combination_is_checked_before_drawing(capsys, monkeypatch):
@@ -366,5 +409,77 @@ def test_vector_verbs_print_finite_numbers_or_exit_3(argv):
     assert code in (0, 3)
     if code == 0:
         assert all(math.isfinite(float(v)) for v in out.getvalue().split())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+# every verb, over edge values, sizes -2..6 and generated --input files;
+# "{input}" and "{out}" stand for files in a fresh directory
+sizes = st.integers(-2, 6).map(str)
+entries = st.one_of(edge_floats, st.sampled_from([1e-300, -1e-300, -1.0, 2.0]))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10, 10), entries, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "re", "im", "x"]), inner, max_size=3),
+)
+square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: {"n": len(rows), "re": rows}
+    )
+)
+input_text = st.one_of(square, json_values).map(json.dumps)
+method_flag = st.sampled_from([[], ["--method", "closed"], ["--method", "telescope"], ["--method", "oracle"]])
+
+
+def optional(*flags):
+    return st.sampled_from([[], list(flags)])
+
+
+def matrix_verb(verb, extra=st.just([])):
+    source = st.one_of(
+        input_text.map(lambda text: (["--input", "{input}"], text)),
+        sizes.map(lambda n: (["--random", n], None)),
+    )
+    return st.tuples(source, method_flag, optional("--complex"), optional("--seed", "7"), extra).map(
+        lambda t: ([verb] + t[0][0] + t[1] + t[2] + t[3] + t[4], t[0][1])
+    )
+
+
+positions = st.integers(-1, 5).map(str)
+any_verb = st.one_of(
+    matrix_verb("det", st.sampled_from([[], ["--repr", "gamma"], ["--repr", "cosine"]])),
+    matrix_verb("invert"),
+    st.tuples(input_text, positions, positions, st.sampled_from(["deletion", "formula"])).map(
+        lambda t: (["minor", "--input", "{input}", "--row", t[1], "--col", t[2], "--by", t[3]], t[0])
+    ),
+    sizes.map(lambda n: (["expand", "--size", n], None)),
+    st.tuples(st.integers(-1, 3).map(str), sizes, method_flag, optional("--complex")).map(
+        lambda t: (["validate", "--trials", t[0], "--size", t[1], "--out", "{out}"] + t[2] + t[3], None)
+    ),
+    floats(5).map(lambda v: (["sparse-check", "--values=" + joined(v)], None)),
+    st.tuples(curl_argv, st.none()),
+    # a list may start with a minus sign without the = form
+    floats(9).map(lambda v: (["volume", "--a", joined(v[0:3]), "--b", joined(v[3:6]), "--c", joined(v[6:9])], None)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_verb)
+@example((["sparse-check", "--values=1e-100,1e-100,1e-100,1e-100,1e-100"], None))
+@example((["det", "--input", "{input}"], "[" * 100_000))
+def test_every_verb_exits_cleanly_and_prints_finite_numbers(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            Path(tmp, "m.json").write_text(text)
+        argv = [a.format(input=Path(tmp, "m.json"), out=Path(tmp, "h.csv")) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        for token in re.split(r"[\s,:=\[\]{}\"]+", out.getvalue()):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(token)), token
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from minorform import (
-    CapacityError,
     DomainError,
     Matrix,
     NearSingularWarning,
@@ -187,12 +186,28 @@ def test_general_engine_beyond_closed_sizes():
 
 
 def test_general_engine_cap_is_configurable():
-    with pytest.raises(CapacityError):
+    with pytest.raises(UnsupportedCombinationError):
         general_det(identity(9))
-    with pytest.raises(CapacityError):
+    with pytest.raises(UnsupportedCombinationError):
         general_inverse(random_matrix(9, seed=1))
-    with pytest.raises(DomainError):
+    with pytest.raises(UnsupportedCombinationError):
         general_det(identity(1))
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_uncovered_sizes_raise_one_error(n):
+    a = identity(n)
+    for call in (general_det, general_inverse, lambda m: element_inverse(m, 1, 1)):
+        with pytest.raises(UnsupportedCombinationError, match="telescope method covers sizes 2..8"):
+            call(a)
+    with pytest.raises(UnsupportedCombinationError, match="telescope method covers sizes 2..8"):
+        expand_terms(n)
+
+
+def test_non_integer_expansion_size_is_a_domain_error():
+    for size in (2.0, True):
+        with pytest.raises(DomainError):
+            expand_terms(size)
 
 
 def test_element_inverse_picks_single_entries():
@@ -211,7 +226,7 @@ def test_element_inverse_validation():
         element_inverse(a, 0, 1)
     with pytest.raises(DomainError):
         element_inverse(a, 1, 4)
-    with pytest.raises(CapacityError):
+    with pytest.raises(UnsupportedCombinationError):
         element_inverse(random_matrix(9, seed=2), 1, 1)
 
 
@@ -244,9 +259,9 @@ def test_expand_terms_evaluates_to_the_determinant():
 
 
 def test_expand_terms_bounds():
-    with pytest.raises(DomainError):
+    with pytest.raises(UnsupportedCombinationError):
         expand_terms(1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(UnsupportedCombinationError):
         expand_terms(9)
 
 

@@ -5,7 +5,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minorform import (
     DomainError,
@@ -217,3 +217,30 @@ def test_parse_rejects_integer_beyond_json_digit_limit():
     payload = '{"n": 1, "re": [[1' + "0" * 5000 + "]]}"
     with pytest.raises(ParseError):
         parse_matrix(payload.encode("ascii"))
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "re", "im", "x"]), inner, max_size=4),
+)
+parse_inputs = st.one_of(
+    st.text(),
+    st.binary(),
+    json_values.map(json.dumps),
+    json_values.map(lambda v: json.dumps({"n": 2, "re": v})),
+    st.tuples(st.integers(1, 200_000), st.sampled_from(["[", "{", '{"n":', '{"re":['])).map(
+        lambda t: t[1] * t[0]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parse_inputs)
+@example("[" * 100_000)
+def test_parse_returns_a_matrix_or_raises_parse_or_domain_error(text):
+    try:
+        result = parse_matrix(text)
+    except (ParseError, DomainError):
+        return
+    assert isinstance(result, Matrix)

@@ -5,12 +5,11 @@ import math
 import pytest
 
 from minorform import (
-    CapacityError,
     DomainError,
     Matrix,
     SingularMatrixError,
+    UnsupportedCombinationError,
     cofactor_inverse,
-    elimination_det,
     gauss_inverse,
     identity,
     laplace_det,
@@ -40,8 +39,21 @@ def test_leibniz_enumerates_exactly_n_factorial_terms():
 
 
 def test_leibniz_size_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(UnsupportedCombinationError):
         leibniz_det(identity(10))
+
+
+def test_cofactor_inverse_needs_two_rows():
+    with pytest.raises(UnsupportedCombinationError):
+        cofactor_inverse(identity(1))
+
+
+def test_retired_names_are_not_exported():
+    import minorform
+
+    assert "CapacityError" not in minorform.__all__
+    assert "elimination_det" not in minorform.__all__
+    assert not hasattr(minorform.errors, "CapacityError")
 
 
 def test_three_determinant_routes_agree():
@@ -49,7 +61,6 @@ def test_three_determinant_routes_agree():
         a = random_matrix(n, seed=40 + n, complex_entries=True)
         reference = leibniz_det(a)
         assert abs(laplace_det(a) - reference) <= DET_AGREEMENT * abs(reference)
-        assert abs(elimination_det(a) - reference) <= DET_AGREEMENT * abs(reference)
 
 
 def test_cofactor_inverse_two_by_two_is_the_textbook_form():

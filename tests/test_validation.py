@@ -143,3 +143,15 @@ def test_sparse_suite_reports_failures_instead_of_raising():
     checks = sparse_suite((1e-6, 2e-6, 3e-6, 4e-6, 5e-6))
     assert len(checks) == 3
     assert all(isinstance(c.passed, bool) for c in checks)
+
+
+def test_sparse_suite_verdict_does_not_depend_on_scale():
+    # the inverse error is relative to the largest reference entry
+    for scale in (1e-60, 1e-6, 1.0, 1e60):
+        checks = sparse_suite(tuple(v * scale for v in (1.0, 2.0, 3.0, 4.0, 5.0)))
+        assert all(c.passed for c in checks), scale
+
+
+def test_sparse_suite_refuses_an_underflowing_determinant():
+    with pytest.raises(DomainError, match="underflows"):
+        sparse_suite((1e-100,) * 5)
