@@ -15,8 +15,11 @@ matrices, naming each nested minor by the set of columns it keeps (its
 rows are the last ones) and evaluating each set once per determinant,
 down to the closed 2x2 form.
 
-Index tables per (size, encoding) are computed once and cached; evaluation
-afterwards is pure arithmetic over the flat entry buffer. `check_combination`
+Index tables per (size, encoding) are computed once and cached, and each
+closed-form table is compiled once into a shared-prefix product program
+that multiplies every distinct row prefix once. Products still start from
+1 + 0j and sums keep their term order, so results are bit for bit those of
+the flat sums. `check_combination`
 is the engines' one size check: a size, method or encoding an engine does
 not cover raises UnsupportedCombinationError.
 """
@@ -31,7 +34,7 @@ from typing import NamedTuple
 from .discrete import ReprKind, _heav_gamma_extended, repr_heav
 from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
 from .matrices import Matrix, minor_by_formula
-from .oracles import _LEIBNIZ_MAX, _finite
+from .oracles import _LEIBNIZ_MAX, _finite, _finite_inverse
 
 CLOSED_FORM_SIZES = (2, 3, 4, 5)
 GENERAL_SIZE_CAP = 8
@@ -148,20 +151,60 @@ def check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
         )
 
 
-def _signed_sum(data: tuple[complex, ...], terms) -> complex:
-    total = 0.0 + 0.0j
-    for sign, offsets in terms:
-        product = 1.0 + 0.0j
-        for o in offsets:
-            product *= data[o]
-        total += product if sign > 0 else -product
-    return total
+def _compile(tables):
+    """(ops, sums): each distinct row prefix of the tables' products is a node.
+
+    Node 0 is 1 + 0j and op (src, o) makes the next node v[src] * data[o], so
+    every product is formed left to right from 1 + 0j. Each table's sum lists
+    (positive, node) in its term order.
+    """
+    nodes: dict[tuple[int, ...], int] = {(): 0}
+    ops: list[tuple[int, int]] = []
+    sums = []
+    for table in tables:
+        terms = []
+        for sign, offsets in table:
+            node = 0
+            for k, o in enumerate(offsets, 1):
+                child = nodes.setdefault(offsets[:k], len(nodes))
+                if child > len(ops):
+                    ops.append((node, o))
+                node = child
+            terms.append((sign > 0, node))
+        sums.append(tuple(terms))
+    return tuple(ops), tuple(sums)
+
+
+@lru_cache(maxsize=None)
+def _det_program(n: int, repr_kind: ReprKind):
+    return _compile((_det_terms(n, repr_kind),))
+
+
+@lru_cache(maxsize=None)
+def _inverse_program(n: int):
+    return _compile(_inverse_terms(n))
+
+
+def _run(data: tuple[complex, ...], program) -> list[complex]:
+    """Evaluate a compiled program: every node once, then each signed sum in order."""
+    ops, sums = program
+    v = [1.0 + 0.0j]
+    push = v.append
+    for src, o in ops:
+        push(v[src] * data[o])
+    out = []
+    for terms in sums:
+        total = 0.0 + 0.0j
+        for positive, i in terms:
+            total = total + v[i] if positive else total - v[i]
+        out.append(total)
+    return out
 
 
 def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex:
     """Determinant by the unrolled closed-form sum (sizes 2..5)."""
     check_combination(a.n, Method.CLOSED_FORM, repr_kind)
-    return _finite(_signed_sum(a.data, _det_terms(a.n, repr_kind)))
+    return _finite(_run(a.data, _det_program(a.n, repr_kind))[0])
 
 
 def _row_max_product(a: Matrix) -> float:
@@ -188,13 +231,15 @@ def _guard_determinant(a: Matrix, det: complex) -> None:
 def closed_form_inverse(a: Matrix) -> Matrix:
     """Inverse by the unrolled adjugate sums over one shared determinant.
 
-    `closed_form_det` checks the size. The encoding parameter is
-    deliberately absent: every allowed encoding expands to the direct
-    columns, so the numerators read the direct det table.
+    `closed_form_det` checks the size, and the determinant is read through
+    that public name, so whatever wraps it sees every closed-form
+    determinant. The encoding parameter is deliberately absent: every
+    allowed encoding expands to the direct columns, so the numerators read
+    the direct det table. DomainError names an entry that overflows.
     """
     det = closed_form_det(a)
     _guard_determinant(a, det)
-    return Matrix(a.n, tuple(_signed_sum(a.data, terms) / det for terms in _inverse_terms(a.n)))
+    return _finite_inverse(a.n, tuple(numer / det for numer in _run(a.data, _inverse_program(a.n))))
 
 
 def _telescope_det(a: Matrix) -> complex:
@@ -267,7 +312,7 @@ def general_inverse(a: Matrix) -> Matrix:
             if (r + s) % 2:
                 numer = -numer
             out[(s - 1) * n + (r - 1)] = numer / det
-    return Matrix(n, tuple(out))
+    return _finite_inverse(n, tuple(out))
 
 
 def expand_terms(n: int) -> tuple[SignedTerm, ...]:

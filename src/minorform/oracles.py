@@ -34,12 +34,24 @@ def _finite(det: complex) -> complex:
     return det
 
 
-def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
-    """Yield every signed permutation product, lexicographic in column order.
+def _finite_inverse(n: int, entries: tuple[complex, ...]) -> Matrix:
+    """The inverse Matrix of these entries, or DomainError naming the first that overflowed."""
+    for k, v in enumerate(entries):
+        if not cmath.isfinite(v):
+            raise DomainError(
+                f"inverse entry ({k // n + 1}, {k % n + 1}) overflowed to {v!r}: its numerator "
+                f"(a cofactor) or its quotient by the determinant is out of double range"
+            )
+    return Matrix(n, entries)
 
-    The permutation sign is maintained incrementally: picking the k-th
-    remaining column for the current row crosses k earlier choices, flipping
-    the sign k times.
+
+def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
+    """Every signed permutation product, lexicographic in column order.
+
+    The size is checked at the call, before any product is formed. The
+    permutation sign is maintained incrementally: picking the k-th remaining
+    column for the current row crosses k earlier choices, flipping the sign
+    k times.
     """
     if a.n > _LEIBNIZ_MAX:
         raise UnsupportedCombinationError(f"permutation sum covers n <= {_LEIBNIZ_MAX}, got {a.n}")
@@ -56,7 +68,7 @@ def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
                 partial * a.entry(row, col),
             )
 
-    yield from recurse(1, list(range(1, a.n + 1)), 1, 1.0 + 0.0j)
+    return recurse(1, list(range(1, a.n + 1)), 1, 1.0 + 0.0j)
 
 
 def leibniz_det(a: Matrix) -> complex:
@@ -92,7 +104,7 @@ def cofactor_inverse(a: Matrix) -> Matrix:
             if (i + j) % 2:
                 cof = -cof
             out[(j - 1) * a.n + (i - 1)] = cof / det
-    return Matrix(a.n, tuple(out))
+    return _finite_inverse(a.n, tuple(out))
 
 
 def residual_max_abs(a: Matrix, x: Matrix) -> float:

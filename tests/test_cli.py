@@ -377,6 +377,27 @@ def test_overflowing_determinant_exits_3_not_a_zero_inverse(capsys, tmp_path, ve
     assert err.startswith("error: ") and "not finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invert", "--input", "{input}", "--method", "closed"),
+        ("invert", "--input", "{input}", "--method", "telescope"),
+        ("invert", "--input", "{input}", "--method", "oracle"),
+        ("sparse-check", "--values=1e300,1e-300,1e300,1e-300,1"),
+    ],
+    ids=["closed", "telescope", "oracle", "sparse-check"],
+)
+def test_overflowing_inverse_entry_is_named_not_blamed_on_the_input(capsys, tmp_path, argv):
+    # the entries are finite and so is the determinant; a cofactor overflows
+    diag = Matrix.from_rows([[1e300, 0, 0], [0, 1e-300, 0], [0, 0, 1e300]])
+    path = matrix_file(tmp_path, diag)
+    code, out, err = run_cli(capsys, *(path if arg == "{input}" else arg for arg in argv))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: inverse entry (2, 2) overflowed")
+    assert "matrix entries must be finite" not in err
+
+
 # nan, both infinities, subnormals, values near the overflow edge and ordinary ones
 edge_floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),

@@ -1,6 +1,7 @@
 """Closed-form and telescoping engines against the ground-truth oracles."""
 
 import math
+import warnings
 from itertools import permutations
 
 import pytest
@@ -346,6 +347,63 @@ def test_every_allowed_encoding_expands_to_the_direct_columns():
             assert _column_terms(n, repr_kind) == _column_terms(n, ReprKind.DIRECT)
             checked += 1
     assert checked == 7  # gamma at n = 2..5, the three window encodings at n = 3
+
+
+def with_signed_zeros(n, seed):
+    # a seeded draw, complex for even seeds and real for odd ones, with about
+    # a third of its parts, and every zero part, set to +0.0 or -0.0 at random
+    import random
+
+    pick = random.Random(seed)
+    a = random_matrix(n, seed=seed, complex_entries=seed % 2 == 0)
+
+    def part(x):
+        return pick.choice((0.0, -0.0)) if x == 0 or pick.random() < 1 / 3 else x
+
+    return Matrix(n, tuple(complex(part(v.real), part(v.imag)) for v in a.data))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_forms_are_the_flat_sums_bit_for_bit(n):
+    # repr, unlike ==, tells -0.0 from 0.0: the shared-prefix program must
+    # reproduce every bit of the flat sums, signed zeros included
+    from minorform import minor_by_deletion
+    from minorform.engines import Method, check_combination
+
+    encodings = [ReprKind.DIRECT]
+    for repr_kind in ENCODED:
+        try:
+            check_combination(n, Method.CLOSED_FORM, repr_kind)
+            encodings.append(repr_kind)
+        except UnsupportedCombinationError:
+            pass
+    negative_zeros = 0
+    for seed in range(40):
+        a = with_signed_zeros(n, 9000 + 100 * n + seed)
+        det = flat_signed_sum(a, expansion_order(n))
+        for repr_kind in encodings:
+            assert repr(closed_form_det(a, repr_kind)) == repr(det)
+        if det == 0:
+            continue
+        expected = []
+        for r in range(1, n + 1):
+            for c in range(1, n + 1):
+                flip = 1 if (r + c) % 2 == 0 else -1
+                terms = [(flip * sign, columns) for sign, columns in expansion_order(n - 1)]
+                expected.append(flat_signed_sum(minor_by_deletion(a, c, r), terms) / det)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearSingularWarning)
+            got = closed_form_inverse(a).data
+        assert repr(got) == repr(tuple(expected))
+        negative_zeros += sum(math.copysign(1, x) < 0 for v in got for x in (v.real, v.imag) if x == 0)
+    assert negative_zeros > 0  # the draws do reach signed zeros
+
+
+def test_programs_multiply_each_row_prefix_once():
+    from minorform.engines import _det_program, _inverse_program
+
+    counts = [(len(_det_program(n, ReprKind.DIRECT)[0]), len(_inverse_program(n)[0])) for n in (2, 3, 4, 5)]
+    assert counts == [(4, 4), (15, 24), (64, 140), (325, 910)]
 
 
 ZERO_PIVOT_CASES = [

@@ -41,6 +41,8 @@ def test_leibniz_enumerates_exactly_n_factorial_terms():
 def test_leibniz_size_cap():
     with pytest.raises(UnsupportedCombinationError):
         leibniz_det(identity(10))
+    with pytest.raises(UnsupportedCombinationError):
+        leibniz_terms(identity(10))  # the call itself raises, before any iteration
 
 
 def test_cofactor_inverse_needs_two_rows():
