@@ -48,6 +48,8 @@ def test_record_holds_quartiles_seeds_and_provenance(tmp_path):
 def test_an_empty_runs_directory_is_refused(tmp_path):
     runs = tmp_path / ".perfbench_runs"
     runs.mkdir()
-    done = subprocess.run([sys.executable, str(SCRIPT), str(runs), "x", "--out", str(tmp_path)], capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(runs), "x", "--out", str(tmp_path)], capture_output=True, text=True
+    )
     assert done.returncode != 0 and "no <workload>-seed<N>-trace0.json files" in done.stderr
     assert not (tmp_path / "BENCH_x.json").exists()

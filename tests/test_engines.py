@@ -1,6 +1,7 @@
 """Closed-form and telescoping engines against the ground-truth oracles."""
 
 import math
+import random
 import warnings
 from itertools import permutations
 
@@ -352,8 +353,6 @@ def test_every_allowed_encoding_expands_to_the_direct_columns():
 def with_signed_zeros(n, seed):
     # a seeded draw, complex for even seeds and real for odd ones, with about
     # a third of its parts, and every zero part, set to +0.0 or -0.0 at random
-    import random
-
     pick = random.Random(seed)
     a = random_matrix(n, seed=seed, complex_entries=seed % 2 == 0)
 
