@@ -12,6 +12,7 @@ size/method/encoding combination.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import warnings
@@ -136,11 +137,12 @@ def _cmd_invert(args) -> int:
             inverse = general_inverse(a)
         else:
             inverse = cofactor_inverse(a)
+    residual = residual_max_abs(a, inverse)  # may refuse; nothing is printed yet
     for w in caught:
         if issubclass(w.category, NearSingularWarning):
             print(f"warning: {w.message}", file=sys.stderr)
     print(write_matrix(inverse).decode("ascii"))
-    print(f"residual {_format_float(residual_max_abs(a, inverse))}")
+    print(f"residual {_format_float(residual)}")
     return EXIT_OK
 
 
@@ -204,6 +206,7 @@ def _cmd_volume(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built at the first main() call, reused by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="minorform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -47,11 +47,13 @@ class Matrix:
             raise DomainError(
                 f"expected {self.n * self.n} entries for a {self.n}x{self.n} matrix, got {len(self.data)}"
             )
-        coerced = tuple(_as_complex(v) for v in self.data)
-        for v in coerced:
+        data = self.data
+        if type(data) is not tuple or not all(type(v) is complex for v in data):
+            data = tuple(_as_complex(v) for v in data)
+        for v in data:
             if not cmath.isfinite(v):
                 raise DomainError(f"matrix entries must be finite, got {v!r}")
-        object.__setattr__(self, "data", coerced)
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -156,14 +158,9 @@ def _format_float(x: float) -> str:
 
 def write_matrix(a: Matrix) -> bytes:
     """Serialize to canonical one-line JSON with exact float round-trip."""
-    re_rows = ", ".join(
-        "[" + ", ".join(_format_float(a.entry(r, c).real) for c in range(1, a.n + 1)) + "]"
-        for r in range(1, a.n + 1)
-    )
-    im_rows = ", ".join(
-        "[" + ", ".join(_format_float(a.entry(r, c).imag) for c in range(1, a.n + 1)) + "]"
-        for r in range(1, a.n + 1)
-    )
+    rows = a.rows()
+    re_rows = ", ".join("[" + ", ".join(_format_float(v.real) for v in row) + "]" for row in rows)
+    im_rows = ", ".join("[" + ", ".join(_format_float(v.imag) for v in row) + "]" for row in rows)
     return f'{{"n": {a.n}, "re": [{re_rows}], "im": [{im_rows}]}}'.encode("ascii")
 
 

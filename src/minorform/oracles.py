@@ -108,16 +108,23 @@ def cofactor_inverse(a: Matrix) -> Matrix:
 
 
 def residual_max_abs(a: Matrix, x: Matrix) -> float:
-    """max |(A X - I)_{rc}|, the worst-entry inversion defect."""
+    """max |(A X - I)_{rc}|, the worst-entry inversion defect.
+
+    DomainError names the first entry of A X - I that is not finite, so an
+    overflow never hides behind the max.
+    """
     if a.n != x.n:
         raise DomainError("residual requires matrices of equal size")
     n = a.n
+    columns = [x.data[c::n] for c in range(n)]
     worst = 0.0
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            acc = sum(a.entry(r, k) * x.entry(k, c) for k in range(1, n + 1))
+    for r, row in enumerate(a.rows()):
+        for c, column in enumerate(columns):
+            acc = sum(p * q for p, q in zip(row, column))
             if r == c:
                 acc -= 1.0
+            if not cmath.isfinite(acc):
+                raise DomainError(f"residual entry ({r + 1}, {c + 1}) of A X - I is {acc!r}: out of double range")
             worst = max(worst, abs(acc))
     return worst
 

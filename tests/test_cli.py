@@ -4,17 +4,24 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minorform import Matrix, parse_matrix, write_matrix
+import minorform
+from minorform import Matrix, cli, parse_matrix, write_matrix
 from minorform.cli import main
 
 FROZEN_3X3 = Matrix.from_rows([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+# a finite matrix with a finite inverse whose residual is nan
+OVERFLOWING_RESIDUAL = '{"n": 2, "re": [[1e300, 1e300], [0, 1e-300]]}'
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(minorform.__file__).parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -278,7 +285,7 @@ def test_random_matrix_matches_library(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
+GOLDEN_CASES = pytest.mark.parametrize(
     "name, argv",
     [
         ("det_random_5_seed_42", ("det", "--random", "5", "--seed", "42")),
@@ -291,12 +298,64 @@ GOLDEN = Path(__file__).parent / "golden"
         ("sparse_check", ("sparse-check",)),
     ],
 )
+
+
+@GOLDEN_CASES
 def test_stdout_matches_golden_bytes(capsys, tmp_path, name, argv):
     if argv[0] == "validate":
         argv += ("--out", str(tmp_path / "h.csv"))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@GOLDEN_CASES
+def test_golden_commands_repeat_byte_for_byte_in_one_process(capsys, tmp_path, name, argv):
+    if argv[0] == "validate":
+        argv += ("--out", str(tmp_path / "h.csv"))
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert first == second
+    assert first[1].encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_the_parser_is_built_once_and_not_at_import():
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().misses <= 1
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import minorform.cli as c; print(c._build_parser.cache_info().currsize)"],
+        env=SUBPROCESS_ENV, capture_output=True, text=True, check=True,
+    )
+    assert fresh.stdout == "0\n"
+
+
+def test_a_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    # usage error, --help, exit 4, then a seeded draw and the default seed:
+    # each must match a fresh interpreter, so no seed or value leaks forward
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ("det", "--random", "x"),
+        ("--help",),
+        ("det", "--random", "9", "--method", "closed"),
+        ("det", "--random", "3", "--seed", "5"),
+        ("det", "--random", "3"),
+    ]
+    for argv in sequence:
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "minorform", *argv],
+            env={**SUBPROCESS_ENV, "COLUMNS": "80"}, capture_output=True, text=True,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_invert_refuses_a_residual_that_is_not_finite(capsys, tmp_path):
+    # the inverse is finite, but (A X)[1][2] is -inf + inf
+    path = tmp_path / "m.json"
+    path.write_text(OVERFLOWING_RESIDUAL)
+    code, out, err = run_cli(capsys, "invert", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: residual entry (1, 2)") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -488,6 +547,7 @@ any_verb = st.one_of(
 @given(any_verb)
 @example((["sparse-check", "--values=1e-100,1e-100,1e-100,1e-100,1e-100"], None))
 @example((["det", "--input", "{input}"], "[" * 100_000))
+@example((["invert", "--input", "{input}"], OVERFLOWING_RESIDUAL))
 def test_every_verb_exits_cleanly_and_prints_finite_numbers(case):
     argv, text = case
     with tempfile.TemporaryDirectory() as tmp:

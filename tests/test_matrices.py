@@ -53,6 +53,19 @@ def test_matrix_validation():
         Matrix(1, ("x",))
 
 
+def test_matrix_stores_a_tuple_of_exact_complex():
+    class Sub(complex):
+        pass
+
+    listed = Matrix(2, [1j, 2j, 3j, 4j])
+    assert type(listed.data) is tuple and listed.data == (1j, 2j, 3j, 4j)
+    mixed = Matrix(2, (Sub(1, 2), 1, 2.5, True + 0j))
+    assert [type(v) for v in mixed.data] == [complex] * 4
+    assert mixed.data[0] == 1 + 2j
+    with pytest.raises(DomainError, match="must be numbers"):
+        Matrix(2, (float("inf"), "x", 1j, 1j))
+
+
 def test_matrix_is_immutable():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):

@@ -126,6 +126,25 @@ def test_residual_is_zero_only_for_a_true_inverse():
     assert residual_max_abs(a, bad) == pytest.approx(0.2)
 
 
+def test_residual_sums_each_entry_in_k_order_from_int_zero():
+    for seed in range(5):
+        a, x = random_matrix(4, seed, True), random_matrix(4, seed + 50, True)
+        reference = max(
+            abs(sum(a.entry(r, k) * x.entry(k, c) for k in range(1, 5)) - (r == c))
+            for r in range(1, 5)
+            for c in range(1, 5)
+        )
+        assert repr(residual_max_abs(a, x)) == repr(reference)
+
+
+def test_residual_refuses_an_entry_that_is_not_finite():
+    # (A X)[1][2] = 1e300 * -1e300 + 1e300 * 1e300 = -inf + inf
+    a = Matrix.from_rows([[1e300, 1e300], [0, 1e-300]])
+    x = Matrix.from_rows([[1e-300, -1e300], [0, 1e300]])
+    with pytest.raises(DomainError, match=r"residual entry \(1, 2\)"):
+        residual_max_abs(a, x)
+
+
 @pytest.mark.parametrize(
     "oracle", [leibniz_det, cofactor_inverse], ids=["leibniz_det", "cofactor_inverse"]
 )
