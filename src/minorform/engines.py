@@ -9,11 +9,11 @@ determinant table (n = 2..5) is that expansion as flat offsets, and the
 symbolic expansion is the same table as column tuples. The inverse tables
 are the det table's derivatives: by Jacobi's formula the cofactor of
 a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
-factor dropped. The general engine
-telescopes: it expands along the first row without building minor
-matrices, naming each nested minor by the set of columns it keeps (its
-rows are the last ones) and evaluating each set once per determinant,
-down to the closed 2x2 form.
+factor dropped. The general engine telescopes: it expands along the
+first row without building minor matrices, naming each nested minor by
+the set of columns it keeps (its rows are the last ones). That column-set
+DAG is compiled once per size into a flat schedule of 2^n - n - 1 states,
+children first, evaluated in one pass up from the closed 2x2 forms.
 
 Index tables per (size, encoding) are computed once and cached, and each
 closed-form table is compiled once into a shared-prefix product program
@@ -242,42 +242,50 @@ def closed_form_inverse(a: Matrix) -> Matrix:
     return _finite_inverse(a.n, tuple(numer / det for numer in _run(a.data, _inverse_program(a.n))))
 
 
+@lru_cache(maxsize=None)
+def _telescope_schedule(n: int):
+    """(pairs, states): every column mask with 2+ bits, by popcount then mask.
+
+    A pair is the offsets (p, q, r, s) of data[p] * data[q] - data[r] * data[s].
+    A k-column state lists (pivot offset (n - k) * n + c, odd position, child
+    state index of the mask without c) per column c ascending.
+    """
+    masks = sorted((m for m in range(1 << n) if m & (m - 1)), key=lambda m: (bin(m).count("1"), m))
+    index = {m: i for i, m in enumerate(masks)}
+    pairs, states = [], []
+    for mask in masks:
+        cols = [c for c in range(n) if mask >> c & 1]
+        row = (n - len(cols)) * n
+        if len(cols) == 2:
+            pairs.append((row + cols[0], row + n + cols[1], row + cols[1], row + n + cols[0]))
+        else:
+            states.append(tuple((row + c, i % 2, index[mask & ~(1 << c)]) for i, c in enumerate(cols)))
+    return tuple(pairs), tuple(states)
+
+
 def _telescope_det(a: Matrix) -> complex:
     """Determinant by first-row expansion over sets of surviving columns.
 
-    After any chain of first-row deletions the composed survivor map
-    depends only on which columns are gone, so a minor is named by the
-    bitmask of its k surviving columns; its rows are the last k rows of
-    `a`. Each minor is expanded once, along its own first row with the
-    columns in ascending order, and memoised by its mask for the rest of
-    the call. Zero pivots are skipped and 2x2 minors use the closed form,
-    so every value is the one the unmemoised recursion computes.
+    A chain of first-row deletions leaves a minor named by the bitmask of
+    its k surviving columns, on the last k rows of `a`. One pass over
+    `_telescope_schedule` evaluates each minor once with the recursion's
+    own operations in its order, zero pivots skipped; minors that only
+    zero pivots lead to are evaluated too, and never read.
     """
     n, data = a.n, a.data
     if n == 1:
         return data[0]
-    memo: dict[int, complex] = {}
-
-    def minor_det(mask: int) -> complex:
-        if mask in memo:
-            return memo[mask]
-        cols = [c for c in range(n) if mask >> c & 1]
-        row = (n - len(cols)) * n
-        if len(cols) == 2:
-            c0, c1 = cols
-            value = data[row + c0] * data[row + n + c1] - data[row + c1] * data[row + n + c0]
-        else:
-            value = 0.0 + 0.0j
-            for i, c in enumerate(cols):
-                pivot = data[row + c]
-                if pivot == 0:
-                    continue
-                term = pivot * minor_det(mask & ~(1 << c))
-                value += -term if i % 2 else term
-        memo[mask] = value
-        return value
-
-    return minor_det((1 << n) - 1)
+    pairs, states = _telescope_schedule(n)
+    v = [data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
+    for state in states:
+        value = 0.0 + 0.0j
+        for o, odd, child in state:
+            pivot = data[o]
+            if pivot != 0:
+                term = pivot * v[child]
+                value += -term if odd else term
+        v.append(value)
+    return v[-1]
 
 
 def general_det(a: Matrix) -> complex:

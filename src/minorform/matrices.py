@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, ParseError
 from .indices import kappa
@@ -97,21 +98,26 @@ def minor_by_deletion(a: Matrix, row: int, col: int) -> Matrix:
     return Matrix(a.n - 1, tuple(kept))
 
 
+@lru_cache(maxsize=1024)
+def _minor_offsets(n: int, row: int, col: int) -> tuple[int, ...]:
+    """Flat source offsets of the (row, col) minor of an n x n matrix, row-major."""
+    cols = [kappa(s, col) - 1 for s in range(1, n)]
+    return tuple((kappa(r, row) - 1) * n + c for r in range(1, n) for c in cols)
+
+
 def minor_by_formula(a: Matrix, row: int, col: int) -> Matrix:
     """Minor matrix via the survivor map, no element shifting.
 
     Entry (r, s) of the minor reads the source at row kappa(r, row) and
     column kappa(s, col): positions before the deleted line map to
-    themselves, later ones skip past it. Each map is computed once.
+    themselves, later ones skip past it. Offsets are cached per (n, row, col).
     """
     if a.n < 2:
         raise DomainError("a 1x1 matrix has no minors")
     a._check_index("row", row)
     a._check_index("column", col)
-    n = a.n
-    rows = [(kappa(r, row) - 1) * n for r in range(1, n)]
-    cols = [kappa(s, col) - 1 for s in range(1, n)]
-    return Matrix(n - 1, tuple(a.data[r + s] for r in rows for s in cols))
+    data = a.data
+    return Matrix(a.n - 1, tuple([data[o] for o in _minor_offsets(a.n, row, col)]))
 
 
 def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:

@@ -36,13 +36,14 @@ def _finite(det: complex) -> complex:
 
 def _finite_inverse(n: int, entries: tuple[complex, ...]) -> Matrix:
     """The inverse Matrix of these entries, or DomainError naming the first that overflowed."""
-    for k, v in enumerate(entries):
-        if not cmath.isfinite(v):
-            raise DomainError(
-                f"inverse entry ({k // n + 1}, {k % n + 1}) overflowed to {v!r}: its numerator "
-                f"(a cofactor) or its quotient by the determinant is out of double range"
-            )
-    return Matrix(n, entries)
+    try:
+        return Matrix(n, entries)
+    except DomainError:
+        k = next(k for k, v in enumerate(entries) if not cmath.isfinite(v))
+        raise DomainError(
+            f"inverse entry ({k // n + 1}, {k % n + 1}) overflowed to {entries[k]!r}: its numerator "
+            f"(a cofactor) or its quotient by the determinant is out of double range"
+        ) from None
 
 
 def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:

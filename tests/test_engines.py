@@ -25,6 +25,7 @@ from minorform import (
     identity,
     laplace_det,
     leibniz_det,
+    minor_by_deletion,
     minor_by_formula,
     random_matrix,
     residual_max_abs,
@@ -426,7 +427,7 @@ def telescope_cases():
 
 @pytest.mark.parametrize("a", telescope_cases())
 def test_telescope_is_bitwise_the_laplace_recursion(a):
-    # the memoised column-set expansion evaluates every minor exactly as the
+    # the compiled column-set schedule evaluates every minor exactly as the
     # recursion over deletion minors does, so results agree with ==
     assert general_det(a) == laplace_det(a)
     assert general_inverse(a).data == cofactor_inverse(a).data
@@ -450,6 +451,126 @@ def test_telescope_extracts_only_first_level_minors(monkeypatch):
     assert calls == []
     element_inverse(a, 2, 5)
     assert calls == [(6, 2, 5)]
+
+
+SIGNED_ZERO_PIVOT_CASES = [
+    [[-0.0, 1, 2], [3, 0.0, 4], [5, 6, -0.0]],
+    [[0.0, -0.0, 1j, 2], [3, -0.0, 4, 0j], [5, 6, -0.0, 1], [1, complex(-0.0, 1), 1, -1]],
+    [[-0.0, 1, 0.0], [2, complex(0.0, -0.0), -1], [complex(-0.0, 0.0), 3, 1]],
+    # the one term's real part is -0.0, and the sum from 0 + 0j makes it +0.0
+    [[complex(-0.0, 1), 0, 0], [0, 1, 0], [0, 0, 1]],
+]
+
+
+def signed_zero_telescope_cases():
+    for n in range(2, 9):
+        for seed in range(2 if n == 8 else 4):
+            yield pytest.param(with_signed_zeros(n, 9700 + 10 * n + seed), id=f"n{n}-{seed}")
+        # imaginary entries with real parts of either sign: every product of
+        # an odd number of them has a real part that is a sum of zeros
+        a = with_signed_zeros(n, 9800 + n)
+        yield pytest.param(Matrix(n, tuple(complex(v.imag, v.real) for v in a.data)), id=f"n{n}-imaginary")
+    for k, rows in enumerate(SIGNED_ZERO_PIVOT_CASES):
+        yield pytest.param(Matrix.from_rows(rows), id=f"zero-pivots-{k}")
+
+
+def closed_base_recursion_det(a):
+    """First-row recursion over deletion minors, zero pivots skipped, with
+    the closed form d0*d3 - d1*d2 at 2x2: the telescope's definition."""
+    if a.n == 1:
+        return a.data[0]
+    if a.n == 2:
+        d0, d1, d2, d3 = a.data
+        return d0 * d3 - d1 * d2
+    total = 0.0 + 0.0j
+    for col in range(1, a.n + 1):
+        pivot = a.entry(1, col)
+        if pivot == 0:
+            continue
+        term = pivot * closed_base_recursion_det(minor_by_deletion(a, 1, col))
+        total += term if col % 2 else -term
+    return total
+
+
+@pytest.mark.parametrize("a", signed_zero_telescope_cases())
+def test_telescope_is_the_recursion_signed_zeros_included(a):
+    # repr, unlike ==, tells -0.0 from 0.0. laplace_det expands 2x2 minors
+    # too, from 0 + 0j, so it agrees in value but may differ in the sign of
+    # a zero part; the recursion with the closed 2x2 base agrees in every bit
+    det = general_det(a)
+    assert det == laplace_det(a)
+    assert repr(det) == repr(closed_base_recursion_det(a))
+    if a.n > 6 or det == 0:
+        return
+    n = a.n
+    expected = [0.0 + 0.0j] * (n * n)
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            numer = closed_base_recursion_det(minor_by_deletion(a, r, s))
+            expected[(s - 1) * n + (r - 1)] = (-numer if (r + s) % 2 else numer) / det
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        inverse = general_inverse(a)
+        assert inverse.data == cofactor_inverse(a).data
+    assert repr(inverse.data) == repr(tuple(expected))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_minors_behind_zero_pivots_may_overflow_unread(n):
+    # column 1 is zero above the last two rows, so no minor without column 1
+    # is reached; the 2x2 one on the last two rows and columns 2, 3 overflows
+    rows = [[0.0] * n for _ in range(n)]
+    for r in range(n - 2):
+        rows[r][r + 1] = 1.0
+    rows[n - 2][0] = rows[n - 2][n - 1] = 1.0
+    rows[n - 2][1] = rows[n - 1][2] = 1e200
+    rows[n - 1][n - 1] = complex(0.5, 1e200)
+    a = Matrix.from_rows(rows)
+    assert not math.isfinite(abs(a.entry(n - 1, 2) * a.entry(n, 3)))
+    det = general_det(a)
+    assert det != 0 and math.isfinite(abs(det))
+    assert det == laplace_det(a)
+    assert repr(det) == repr(closed_base_recursion_det(a))
+
+
+def test_telescope_schedule_is_built_once_per_size():
+    from minorform.engines import _telescope_schedule
+
+    _telescope_schedule.cache_clear()
+    for seed in range(3):
+        general_inverse(random_matrix(6, seed=62 + seed))
+    assert _telescope_schedule.cache_info().misses == 2  # the 6x6 and its 5x5 minors
+    pairs, states = _telescope_schedule(6)
+    assert len(pairs) + len(states) == 2**6 - 6 - 1
+    # every state reads only states before it, and the last is all six columns
+    assert all(child < len(pairs) + i for i, state in enumerate(states) for _, _, child in state)
+    assert [offset for offset, _, _ in states[-1]] == list(range(6))
+
+
+def test_minor_offsets_are_read_once_per_position(monkeypatch):
+    import minorform.matrices as matrices
+
+    calls = []
+
+    def counted(t, r0):
+        calls.append((t, r0))
+        return kappa(t, r0)
+
+    kappa = matrices.kappa
+    monkeypatch.setattr(matrices, "kappa", counted)
+    matrices._minor_offsets.cache_clear()
+    a = random_matrix(5, seed=51)
+    first = minor_by_formula(a, 2, 4)
+    assert calls
+    calls.clear()
+    assert minor_by_formula(a, 2, 4) == first
+    assert minor_by_formula(random_matrix(5, seed=52), 2, 4).n == 4
+    assert calls == []
+
+
+def test_minor_of_a_two_by_two_is_a_one_by_one_matrix():
+    m = minor_by_formula(Matrix.from_rows([[1, 2], [3, 4]]), 2, 1)
+    assert m.n == 1 and type(m.data) is tuple and m.data == (2 + 0j,)
 
 
 @pytest.mark.parametrize(
