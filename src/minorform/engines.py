@@ -268,9 +268,9 @@ def _telescope_det(a: Matrix) -> complex:
 
     A chain of first-row deletions leaves a minor named by the bitmask of
     its k surviving columns, on the last k rows of `a`. One pass over
-    `_telescope_schedule` evaluates each minor once with the recursion's
-    own operations in its order, zero pivots skipped; minors that only
-    zero pivots lead to are evaluated too, and never read.
+    `_telescope_schedule` evaluates each minor once, with the operations
+    and order of the first-row recursion that closes 2x2 minors and skips
+    zero pivots; minors only zero pivots lead to are evaluated, never read.
     """
     n, data = a.n, a.data
     if n == 1:

@@ -547,32 +547,6 @@ def test_telescope_schedule_is_built_once_per_size():
     assert [offset for offset, _, _ in states[-1]] == list(range(6))
 
 
-def test_minor_offsets_are_read_once_per_position(monkeypatch):
-    import minorform.matrices as matrices
-
-    calls = []
-
-    def counted(t, r0):
-        calls.append((t, r0))
-        return kappa(t, r0)
-
-    kappa = matrices.kappa
-    monkeypatch.setattr(matrices, "kappa", counted)
-    matrices._minor_offsets.cache_clear()
-    a = random_matrix(5, seed=51)
-    first = minor_by_formula(a, 2, 4)
-    assert calls
-    calls.clear()
-    assert minor_by_formula(a, 2, 4) == first
-    assert minor_by_formula(random_matrix(5, seed=52), 2, 4).n == 4
-    assert calls == []
-
-
-def test_minor_of_a_two_by_two_is_a_one_by_one_matrix():
-    m = minor_by_formula(Matrix.from_rows([[1, 2], [3, 4]]), 2, 1)
-    assert m.n == 1 and type(m.data) is tuple and m.data == (2 + 0j,)
-
-
 @pytest.mark.parametrize(
     "invert, n, scale",
     [

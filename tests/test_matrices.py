@@ -89,6 +89,32 @@ def test_minor_maps_agree_everywhere():
                 assert minor_by_formula(a, r, c).data == minor_by_deletion(a, r, c).data
 
 
+def test_minor_offsets_are_read_once_per_position(monkeypatch):
+    import minorform.matrices as matrices
+
+    kappa, calls = matrices.kappa, []
+
+    def counted(t, r0):
+        calls.append((t, r0))
+        return kappa(t, r0)
+
+    monkeypatch.setattr(matrices, "kappa", counted)
+    matrices._minor_offsets.cache_clear()
+    a = random_matrix(5, seed=51)
+    first = minor_by_formula(a, 2, 4)
+    assert calls
+    calls.clear()
+    assert minor_by_formula(a, 2, 4) == first
+    b = random_matrix(5, seed=52)
+    assert minor_by_formula(b, 2, 4) == minor_by_deletion(b, 2, 4)
+    assert calls == []
+
+
+def test_minor_of_a_two_by_two_is_a_one_by_one_matrix():
+    m = minor_by_formula(Matrix.from_rows([[1, 2], [3, 4]]), 2, 1)
+    assert m.n == 1 and type(m.data) is tuple and m.data == (2 + 0j,)
+
+
 def test_minor_index_map_long_and_short_forms_agree():
     # the index map can also be written with a sum of deltas instead of a
     # step; both give the same survivor index for positions >= 1
