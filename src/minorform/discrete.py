@@ -307,9 +307,9 @@ def _heav_gamma_extended(x: int) -> int:
 
     Shift/reflection closure of the two gamma step forms: arguments from -2
     upward are the parity form at shift 2, anything lower the reflected form
-    at shift 4, whose factorial argument stays positive. Used by the
-    determinant engines, whose index sums need steps outside the public
-    encoding domains.
+    at shift 4, whose factorial argument stays positive. Used by
+    `indices.kappa`, whose survivor steps in the determinant expansion
+    reach outside the public encoding domains.
     """
     if x >= -2:
         value = _heav_gamma_parity(x + 2, 2)

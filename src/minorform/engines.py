@@ -1,17 +1,17 @@
 """Closed-form determinant and inverse engines.
 
 The determinant's expansion is the only term table. It comes from one
-survivor-map expansion: the determinant is expanded along its first row,
-and deleting position s leaves each later position t reading column
-kappa(t, s) = t + 1 - heav(s - t - 1) of its parent, with the step
-optionally routed through a standard-function encoding. The n x n
+survivor-map expansion along the first row: deleting position s of a
+column map leaves `indices.survivor_map(colmap, s)`, its step read through
+kappa and optionally a standard-function encoding. The n x n
 determinant table (n = 2..5) is that expansion as flat offsets, and the
 symbolic expansion is the same table as column tuples. The inverse tables
 are the det table's derivatives: by Jacobi's formula the cofactor of
 a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
 factor dropped. The general engine telescopes: it expands along the
 first row without building minor matrices, naming each nested minor by
-the set of columns it keeps (its rows are the last ones). That column-set
+the tuple of columns it keeps (its rows are the last ones), whose children
+the same `survivor_map` gives. That column-set
 DAG is compiled once per size into a flat schedule of 2^n - n - 1 states,
 children first, evaluated in one pass up from the closed 2x2 forms.
 
@@ -29,10 +29,12 @@ from __future__ import annotations
 import warnings
 from enum import Enum, unique
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
-from .discrete import ReprKind, _heav_gamma_extended, repr_heav
+from .discrete import ReprKind
 from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
+from .indices import survivor_map
 from .matrices import Matrix, minor_by_formula
 from .oracles import _LEIBNIZ_MAX, _finite, _finite_inverse
 
@@ -66,35 +68,18 @@ class SignedTerm(NamedTuple):
     columns: tuple[int, ...]
 
 
-def _step(z: int, p: int, repr_kind: ReprKind) -> int:
-    """heav(z - p) through the selected encoding.
-
-    The expansion asks for z in 1..n and p in 2..n. `repr_heav` owns every
-    encoding's domain; outside the gamma domains the step comes from the
-    private factorial-parity closure, which covers the rest of n = 4, 5.
-    Other encodings raise there, as `check_combination` keeps them at n = 3.
-    """
-    try:
-        return repr_heav(z, p, repr_kind)
-    except DomainError:
-        if repr_kind is not ReprKind.GAMMA:
-            raise
-        return _heav_gamma_extended(z - p)
-
-
 def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_kind: ReprKind):
     """Yield the SignedTerm of every product of the determinant over colmap.
 
     chosen holds the columns taken by the rows above and sign their parity.
-    Deleting position s leaves the child map colmap[kappa(t, s) - 1] for
-    t = 1..len-1, where kappa(t, s) - 1 = t - heav(s - t - 1) is the survivor
-    step read through the encoding.
+    Deleting position s leaves the child map `survivor_map(colmap, s)`, its
+    survivor step read through the encoding.
     """
     if len(colmap) == 1:
         yield SignedTerm(sign, chosen + colmap)
         return
     for s in range(1, len(colmap) + 1):
-        child = tuple(colmap[t - _step(s, t + 1, repr_kind)] for t in range(1, len(colmap)))
+        child = survivor_map(colmap, s, repr_kind)
         yield from _expand(child, sign if s % 2 else -sign, chosen + (colmap[s - 1],), repr_kind)
 
 
@@ -244,39 +229,38 @@ def closed_form_inverse(a: Matrix) -> Matrix:
 
 @lru_cache(maxsize=None)
 def _telescope_schedule(n: int):
-    """(pairs, states): every column mask with 2+ bits, by popcount then mask.
+    """(pairs, states): every ascending tuple of 2..n columns, by length.
 
-    A pair is the offsets (p, q, r, s) of data[p] * data[q] - data[r] * data[s].
-    A k-column state lists (pivot offset (n - k) * n + c, odd position, child
-    state index of the mask without c) per column c ascending.
+    A pair is the offsets (p, q, r, s) of 0j + data[p] * data[q] - data[r] * data[s].
+    A k-column state lists (pivot offset of c on row n - k + 1, odd position,
+    child index of `survivor_map` without c) per column c in order.
     """
-    masks = sorted((m for m in range(1 << n) if m & (m - 1)), key=lambda m: (bin(m).count("1"), m))
-    index = {m: i for i, m in enumerate(masks)}
+    tuples = [cols for k in range(2, n + 1) for cols in combinations(range(1, n + 1), k)]
+    index = {cols: i for i, cols in enumerate(tuples)}
     pairs, states = [], []
-    for mask in masks:
-        cols = [c for c in range(n) if mask >> c & 1]
-        row = (n - len(cols)) * n
+    for cols in tuples:
+        row = (n - len(cols)) * n - 1
         if len(cols) == 2:
             pairs.append((row + cols[0], row + n + cols[1], row + cols[1], row + n + cols[0]))
         else:
-            states.append(tuple((row + c, i % 2, index[mask & ~(1 << c)]) for i, c in enumerate(cols)))
+            states.append(tuple((row + c, s % 2 == 0, index[survivor_map(cols, s)]) for s, c in enumerate(cols, 1)))
     return tuple(pairs), tuple(states)
 
 
 def _telescope_det(a: Matrix) -> complex:
     """Determinant by first-row expansion over sets of surviving columns.
 
-    A chain of first-row deletions leaves a minor named by the bitmask of
+    A chain of first-row deletions leaves a minor named by the tuple of
     its k surviving columns, on the last k rows of `a`. One pass over
-    `_telescope_schedule` evaluates each minor once, with the operations
-    and order of the first-row recursion that closes 2x2 minors and skips
-    zero pivots; minors only zero pivots lead to are evaluated, never read.
+    `_telescope_schedule` evaluates each minor once, bit for bit as the
+    recursion `oracles.laplace_det`: sums start from 0j and skip zero pivots;
+    minors only zero pivots lead to are evaluated, never read.
     """
     n, data = a.n, a.data
     if n == 1:
         return data[0]
     pairs, states = _telescope_schedule(n)
-    v = [data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
+    v = [0j + data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
     for state in states:
         value = 0.0 + 0.0j
         for o, odd, child in state:

@@ -4,27 +4,41 @@ When row/column `r` is deleted from a matrix, position `t` of the minor
 reads source position kappa(t, r): positions before the cut keep their
 index, later ones skip past it. A chain of nested deletions therefore maps
 a final-level index back to the original matrix by composing kappa once
-per level, innermost deletion first.
+per level, innermost deletion first. kappa is the one statement of the
+step: minors, the expansion and the telescope schedule all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discrete import heav
+from .discrete import ReprKind, _heav_gamma_extended, heav, repr_heav
 from .errors import DomainError
 
 
-def kappa(t: int, r0: int) -> int:
+def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
     """Source index read by minor position t after deleting index r0.
 
     kappa(t, r0) = t + 1 - heav(r0 - t - 1): t itself while t < r0, else t+1.
+    The step is repr_heav(r0, t + 1, repr_kind); outside its domains GAMMA
+    falls back to the factorial-parity closure and other encodings raise
+    DomainError, as does a t or r0 that is not a positive integer.
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise DomainError(f"minor position must be a positive integer, got {t!r}")
     if not isinstance(r0, int) or isinstance(r0, bool) or r0 < 1:
         raise DomainError(f"deleted index must be a positive integer, got {r0!r}")
-    return t + 1 - heav(r0 - t - 1)
+    try:
+        return t + 1 - repr_heav(r0, t + 1, repr_kind)
+    except DomainError:
+        if repr_kind is not ReprKind.GAMMA:
+            raise
+        return t + 1 - _heav_gamma_extended(r0 - t - 1)
+
+
+def survivor_map(colmap: tuple[int, ...], s: int, repr_kind: ReprKind = ReprKind.DIRECT) -> tuple[int, ...]:
+    """The map left by deleting position s of colmap: its position t reads colmap's kappa(t, s)."""
+    return tuple(colmap[kappa(t, s, repr_kind) - 1] for t in range(1, len(colmap)))
 
 
 @dataclass(frozen=True)

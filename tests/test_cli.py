@@ -73,6 +73,15 @@ def test_det_methods_agree(capsys, tmp_path):
     assert len(set(results.values())) == 1
 
 
+def test_det_methods_agree_on_the_sign_of_zero(capsys, tmp_path):
+    # (-0.0)*1 - 1*0.0 is -0.0; every method sums from 0 + 0j, which makes it +0.0
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[-0.0, 1], [0.0, 1]]}')
+    methods = ("closed", "telescope", "oracle")
+    results = {run_cli(capsys, "det", "--input", str(path), "--method", m) for m in methods}
+    assert results == {(0, "0.0000000000000000e+00 0.0000000000000000e+00\n", "")}
+
+
 def test_invert_round_trip(capsys, tmp_path):
     path = matrix_file(tmp_path, FROZEN_3X3)
     code, out, _ = run_cli(capsys, "invert", "--input", path)

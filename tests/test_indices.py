@@ -7,6 +7,7 @@ import pytest
 from minorform import (
     DomainError,
     IndexHistory,
+    ReprKind,
     heav,
     kappa,
     primed_index,
@@ -48,6 +49,20 @@ def test_kappa_rejects_non_positive():
         kappa(0, 1)
     with pytest.raises(DomainError):
         kappa(1, 0)
+
+
+def test_kappa_through_an_encoding_is_the_direct_step():
+    # gamma covers every step through its factorial-parity closure; the
+    # window encodings cover t + 1 in {2, 3} and r0 in 1..3 and raise beyond
+    for t in range(1, 8):
+        for r0 in range(1, 9):
+            assert kappa(t, r0, ReprKind.GAMMA) == kappa(t, r0)
+    for repr_kind in (ReprKind.COSINE, ReprKind.BESSEL, ReprKind.HERMITE):
+        for t in (1, 2):
+            for r0 in (1, 2, 3):
+                assert kappa(t, r0, repr_kind) == kappa(t, r0)
+        with pytest.raises(DomainError):
+            kappa(3, 1, repr_kind)
 
 
 def test_kappa_composition_order_matters():
@@ -134,3 +149,23 @@ def test_history_validation():
         primed_index(2, IndexHistory(1, (1,)))  # depth mismatch
     with pytest.raises(DomainError):
         reflected_primed_index(1, IndexHistory(3, (1,)))  # base must be 1 or 2
+
+
+def test_primed_index_gives_every_subscript_of_the_expansion():
+    # chain[k - 1] is the local position s_k deleted at level k, in product
+    # order, the expansion's own; row r reads the original column
+    # primed_index(r - 1, IndexHistory(s_r, (s_1, ..., s_{r-1})))
+    from minorform.engines import _column_terms
+
+    checked = 0
+    for n in range(2, 8):
+        chains = product(*(range(1, n - k + 1) for k in range(n)))
+        for term, chain in zip(_column_terms(n, ReprKind.DIRECT), chains, strict=True):
+            assert term.sign == (-1) ** sum(s - 1 for s in chain)
+            assert term.columns[0] == chain[0]
+            for r in range(2, n + 1):
+                hist = IndexHistory(chain[r - 1], chain[: r - 1])
+                assert primed_index(r - 1, hist) == term.columns[r - 1]
+                assert primed_index_expanded(r - 1, hist) == term.columns[r - 1]
+                checked += 1
+    assert checked == 34406
