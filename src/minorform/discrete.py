@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cache, partial
 from typing import Callable, Iterator
 
 from .errors import DomainError, RepresentationMismatchError
@@ -98,11 +99,13 @@ def _parity_sign(k: int) -> float:
 # ---------------------------------------------------------------------------
 # Encoding variants. Each entry states its integer domain once, as the
 # shifts it covers and the largest z (from z = 1 up, or unbounded), and pairs
-# it with a real-valued evaluator. Membership and the conformance scan both
-# come from that domain; the scan stops unbounded domains at
-# _GAMMA_GENERAL_SCAN_LIMIT. Variants are scanned once against kron/heav; one
-# that fails anywhere is marked unavailable and calls to it raise, keeping
-# the direct form normative.
+# it with a real-valued evaluator. The gamma evaluators are factorial forms
+# of their own; Bessel, cosine and Hermite are one window construction over
+# (f, z1), an even f with f(0) = 1 and first zero z1, bound per row. Membership
+# and the conformance scan both come from the domain; the scan stops unbounded
+# domains at _GAMMA_GENERAL_SCAN_LIMIT. Variants are scanned once per process
+# against kron/heav; one that fails anywhere is marked unavailable and calls
+# to it raise, keeping the direct form normative.
 # ---------------------------------------------------------------------------
 
 
@@ -116,28 +119,11 @@ def _delta_gamma_parity(z: int, n: int) -> float:
     return (_parity_sign(gamma_int(z - n + 3)) - _parity_sign(gamma_int(z - n + 2))) / 2.0
 
 
-def _delta_peak_coeff(z: int, n: int) -> float:
-    return ((n - 2) ** (n + 1) / 2.0) * (n - z) * (z - 2)
-
-
-def _delta_bessel(z: int, n: int) -> float:
-    z1 = BESSEL_J0_FIRST_ZERO
-    return _delta_peak_coeff(z, n) * bessel_j0(2.0 * z1) + _parity_sign(n + z) * bessel_j0(
-        (z - n) * z1
-    )
-
-
-def _delta_cosine(z: int, n: int) -> float:
-    return _delta_peak_coeff(z, n) * math.cos(2.0 * math.pi / 2.0) + _parity_sign(
-        n + z
-    ) * math.cos((z - n) * math.pi / 2.0)
-
-
-def _delta_hermite(z: int, n: int) -> float:
-    z1 = HERMITE_HE2_FIRST_ZERO
-    return -_delta_peak_coeff(z, n) * hermite_he2(2.0 * z1) - _parity_sign(n + z) * hermite_he2(
-        (z - n) * z1
-    )
+def _delta_windowed(f: Callable[[float], float], z1: float, z: int, n: int) -> float:
+    # f even, f(0) = 1, f(z1) = 0: f((z - n) z1) is the delta for |z - n| <= 1;
+    # at |z - n| = 2 the peak coefficient is -1 and cancels f(2 z1)
+    peak = ((n - 2) ** (n + 1) / 2.0) * (n - z) * (z - 2)
+    return peak * f(2.0 * z1) + _parity_sign(n + z) * f((z - n) * z1)
 
 
 def _heav_gamma_linear(z: int, p: int) -> float:
@@ -156,18 +142,14 @@ def _heav_gamma_reflected(z: int, p: int) -> float:
     return (1.0 - _parity_sign(gamma_int(6 - z))) / 2.0
 
 
-def _heav_bessel(z: int, p: int) -> float:
-    z1 = BESSEL_J0_FIRST_ZERO
-    return 0.5 * (z - bessel_j0(0.0) + _parity_sign(p + z) * bessel_j0((z - 2) * z1))
+def _heav_windowed(f: Callable[[float], float], z1: float, z: int, p: int) -> float:
+    # the same window, halved: steps at p in {2, 3} on z in {1, 2, 3}
+    return 0.5 * (z - f(0.0) + _parity_sign(p + z) * f((z - 2) * z1))
 
 
-def _heav_cosine(z: int, p: int) -> float:
-    return 0.5 * (z - math.cos(0.0) + _parity_sign(p + z) * math.cos((z - 2) * math.pi / 2.0))
-
-
-def _heav_hermite(z: int, p: int) -> float:
-    z1 = HERMITE_HE2_FIRST_ZERO
-    return 0.5 * (z + hermite_he2(0.0) - _parity_sign(p + z) * hermite_he2((z - 2) * z1))
+def _neg_hermite_he2(z: float) -> float:
+    """-He2, the Hermite window: even, 1 at 0, first zero at 1."""
+    return -hermite_he2(z)
 
 
 @dataclass(frozen=True)
@@ -191,27 +173,31 @@ class _Variant:
 
 _GAMMA_GENERAL_SCAN_LIMIT = 12  # unbounded-domain variants are scanned this far
 
+# (f, z1) of the windowed encodings: f even, f(0) = 1, first zero at z1
+_J0 = (bessel_j0, BESSEL_J0_FIRST_ZERO)
+_COS = (math.cos, math.pi / 2)
+_HE2 = (_neg_hermite_he2, HERMITE_HE2_FIRST_ZERO)
+
 # Order matters: a point in several domains takes the first matching variant,
 # so the bounded forms come before the general parity forms.
 _VARIANTS: tuple[_Variant, ...] = (
     _Variant("gamma-factorial", "delta", ReprKind.GAMMA, (1,), 3, _delta_gamma_factorial),
     _Variant("gamma-parity", "delta", ReprKind.GAMMA, (1, 2), None, _delta_gamma_parity),
-    _Variant("bessel", "delta", ReprKind.BESSEL, (1, 2, 3), 3, _delta_bessel, BESSEL_TOLERANCE),
-    _Variant("cosine", "delta", ReprKind.COSINE, (1, 2, 3), 3, _delta_cosine),
-    _Variant("hermite", "delta", ReprKind.HERMITE, (1, 2, 3), 3, _delta_hermite),
+    _Variant("bessel", "delta", ReprKind.BESSEL, (1, 2, 3), 3, partial(_delta_windowed, *_J0), BESSEL_TOLERANCE),
+    _Variant("cosine", "delta", ReprKind.COSINE, (1, 2, 3), 3, partial(_delta_windowed, *_COS)),
+    _Variant("hermite", "delta", ReprKind.HERMITE, (1, 2, 3), 3, partial(_delta_windowed, *_HE2)),
     _Variant("gamma-linear", "heav", ReprKind.GAMMA, (2, 3), 3, _heav_gamma_linear),
     _Variant("gamma-parity", "heav", ReprKind.GAMMA, (2, 3), None, _heav_gamma_parity),
     _Variant("gamma-reflected", "heav", ReprKind.GAMMA, (4,), 4, _heav_gamma_reflected),
-    _Variant("bessel", "heav", ReprKind.BESSEL, (2, 3), 3, _heav_bessel, BESSEL_TOLERANCE),
-    _Variant("cosine", "heav", ReprKind.COSINE, (2, 3), 3, _heav_cosine),
-    _Variant("hermite", "heav", ReprKind.HERMITE, (2, 3), 3, _heav_hermite),
+    _Variant("bessel", "heav", ReprKind.BESSEL, (2, 3), 3, partial(_heav_windowed, *_J0), BESSEL_TOLERANCE),
+    _Variant("cosine", "heav", ReprKind.COSINE, (2, 3), 3, partial(_heav_windowed, *_COS)),
+    _Variant("hermite", "heav", ReprKind.HERMITE, (2, 3), 3, partial(_heav_windowed, *_HE2)),
 )
 
-_conformance_cache: dict | None = None
 
-
+@cache
 def conformance_report() -> dict:
-    """Scan every encoding variant over its declared domain.
+    """Scan every encoding variant over its declared domain, once per process.
 
     Returns {"checked": int, "failures": [...], "unavailable": [...]}. A
     failure records any point where the rounded encoding disagrees with
@@ -219,9 +205,6 @@ def conformance_report() -> dict:
     are listed as unavailable and their evaluation raises, keeping the
     direct form normative.
     """
-    global _conformance_cache
-    if _conformance_cache is not None:
-        return _conformance_cache
     checked = 0
     failures = []
     for variant in _VARIANTS:
@@ -243,39 +226,24 @@ def conformance_report() -> dict:
                         "expected": expected,
                     }
                 )
-    unavailable = sorted(
-        {f"{f['repr']}/{f['kind']}/{f['variant']}" for f in failures}
-    )
-    _conformance_cache = {"checked": checked, "failures": failures, "unavailable": unavailable}
-    return _conformance_cache
-
-
-def _variant_available(variant: _Variant) -> bool:
-    key = f"{variant.repr_kind.value}/{variant.kind}/{variant.name}"
-    return key not in conformance_report()["unavailable"]
+    unavailable = sorted({f"{f['repr']}/{f['kind']}/{f['variant']}" for f in failures})
+    return {"checked": checked, "failures": failures, "unavailable": unavailable}
 
 
 def _evaluate_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> int:
-    candidates = [
-        v
-        for v in _VARIANTS
-        if v.kind == kind and v.repr_kind is repr_kind and v.member(z, shift)
-    ]
-    if not candidates:
+    # the first match wins: bounded-domain variants come before the general parity forms
+    variant = next(
+        (v for v in _VARIANTS if v.kind == kind and v.repr_kind is repr_kind and v.member(z, shift)),
+        None,
+    )
+    if variant is None:
         raise DomainError(
             f"({z=}, shift={shift}) is outside every declared {repr_kind.value} domain for {kind}"
         )
-    # Bounded-domain variants are preferred over the general parity forms.
-    variant = candidates[0]
-    if not _variant_available(variant):
-        raise RepresentationMismatchError(
-            f"{repr_kind.value}/{kind}/{variant.name} failed its truth-table scan; direct form is normative"
-        )
-    return _round_step(
-        variant.evaluate(z, shift),
-        variant.tolerance,
-        f"{repr_kind.value}/{kind}/{variant.name} at (z={z}, shift={shift})",
-    )
+    key = f"{repr_kind.value}/{kind}/{variant.name}"
+    if key in conformance_report()["unavailable"]:
+        raise RepresentationMismatchError(f"{key} failed its truth-table scan; direct form is normative")
+    return _round_step(variant.evaluate(z, shift), variant.tolerance, f"{key} at (z={z}, shift={shift})")
 
 
 def _round_step(raw: float, tolerance: float, where: str) -> int:

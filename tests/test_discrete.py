@@ -16,7 +16,14 @@ from minorform import (
     repr_delta,
     repr_heav,
 )
-from minorform.discrete import BESSEL_J0_FIRST_ZERO, _heav_gamma_extended
+from minorform.discrete import (
+    BESSEL_J0_FIRST_ZERO,
+    HERMITE_HE2_FIRST_ZERO,
+    _VARIANTS,
+    _heav_gamma_extended,
+    _parity_sign,
+    hermite_he2,
+)
 
 ENCODED = [ReprKind.GAMMA, ReprKind.COSINE, ReprKind.BESSEL, ReprKind.HERMITE]
 
@@ -161,3 +168,65 @@ def test_conformance_scan_is_clean():
     assert report["unavailable"] == []
     # 5 delta + 6 heav domains: 3 + 24 + 9 + 9 + 9 and 6 + 24 + 4 + 6 + 6 + 6 points
     assert report["checked"] == 106
+
+
+# Reference implementation: each windowed encoding written out on its own,
+# as the paper states it. The variants evaluate one generic form per kind.
+def _ref_peak(z, n):
+    return ((n - 2) ** (n + 1) / 2.0) * (n - z) * (z - 2)
+
+
+def _ref_delta_bessel(z, n):
+    z1 = BESSEL_J0_FIRST_ZERO
+    return _ref_peak(z, n) * bessel_j0(2.0 * z1) + _parity_sign(n + z) * bessel_j0((z - n) * z1)
+
+
+def _ref_delta_cosine(z, n):
+    return _ref_peak(z, n) * math.cos(2.0 * math.pi / 2.0) + _parity_sign(n + z) * math.cos(
+        (z - n) * math.pi / 2.0
+    )
+
+
+def _ref_delta_hermite(z, n):
+    z1 = HERMITE_HE2_FIRST_ZERO
+    return -_ref_peak(z, n) * hermite_he2(2.0 * z1) - _parity_sign(n + z) * hermite_he2((z - n) * z1)
+
+
+def _ref_heav_bessel(z, p):
+    z1 = BESSEL_J0_FIRST_ZERO
+    return 0.5 * (z - bessel_j0(0.0) + _parity_sign(p + z) * bessel_j0((z - 2) * z1))
+
+
+def _ref_heav_cosine(z, p):
+    return 0.5 * (z - math.cos(0.0) + _parity_sign(p + z) * math.cos((z - 2) * math.pi / 2.0))
+
+
+def _ref_heav_hermite(z, p):
+    z1 = HERMITE_HE2_FIRST_ZERO
+    return 0.5 * (z + hermite_he2(0.0) - _parity_sign(p + z) * hermite_he2((z - 2) * z1))
+
+
+WRITTEN_OUT = {
+    ("delta", "bessel"): _ref_delta_bessel,
+    ("delta", "cosine"): _ref_delta_cosine,
+    ("delta", "hermite"): _ref_delta_hermite,
+    ("heav", "bessel"): _ref_heav_bessel,
+    ("heav", "cosine"): _ref_heav_cosine,
+    ("heav", "hermite"): _ref_heav_hermite,
+}
+
+
+def _outcome(fn, z, shift):
+    try:
+        return repr(fn(z, shift))
+    except Exception as exc:  # the error is part of the behaviour
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("kind,name", sorted(WRITTEN_OUT))
+def test_windowed_variant_is_the_written_out_formula_bit_for_bit(kind, name):
+    (variant,) = [v for v in _VARIANTS if (v.kind, v.name) == (kind, name)]
+    reference = WRITTEN_OUT[kind, name]
+    for z in range(-3, 15):
+        for shift in range(-2, 7):
+            assert _outcome(variant.evaluate, z, shift) == _outcome(reference, z, shift), (z, shift)
