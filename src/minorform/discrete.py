@@ -173,7 +173,7 @@ class _Variant:
 
 _GAMMA_GENERAL_SCAN_LIMIT = 12  # unbounded-domain variants are scanned this far
 
-# (f, z1) of the windowed encodings: f even, f(0) = 1, first zero at z1
+# (f, z1) of each windowed encoding
 _J0 = (bessel_j0, BESSEL_J0_FIRST_ZERO)
 _COS = (math.cos, math.pi / 2)
 _HE2 = (_neg_hermite_he2, HERMITE_HE2_FIRST_ZERO)
@@ -231,7 +231,7 @@ def conformance_report() -> dict:
 
 
 def _evaluate_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> int:
-    # the first match wins: bounded-domain variants come before the general parity forms
+    # the first match wins, so a bounded form is preferred over a general parity form
     variant = next(
         (v for v in _VARIANTS if v.kind == kind and v.repr_kind is repr_kind and v.member(z, shift)),
         None,

@@ -170,8 +170,8 @@ def test_conformance_scan_is_clean():
     assert report["checked"] == 106
 
 
-# Reference implementation: each windowed encoding written out on its own,
-# as the paper states it. The variants evaluate one generic form per kind.
+# Reference implementation: each windowed encoding written out on its own.
+# The variants evaluate one generic form per kind.
 def _ref_peak(z, n):
     return ((n - 2) ** (n + 1) / 2.0) * (n - z) * (z - 2)
 
