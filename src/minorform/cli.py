@@ -266,10 +266,8 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # None reads sys.argv[1:]
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -10,6 +10,7 @@ the evaluator tolerance.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -195,16 +196,20 @@ _VARIANTS: tuple[_Variant, ...] = (
 )
 
 
-@cache
 def conformance_report() -> dict:
     """Scan every encoding variant over its declared domain, once per process.
 
-    Returns {"checked": int, "failures": [...], "unavailable": [...]}. A
-    failure records any point where the rounded encoding disagrees with
-    kron/heav or the residual exceeds tolerance. Variants with failures
-    are listed as unavailable and their evaluation raises, keeping the
-    direct form normative.
+    Returns {"checked": int, "failures": [...], "unavailable": [...]}, a
+    copy per call. A failure records any point where the rounded encoding
+    disagrees with kron/heav or the residual exceeds tolerance. Variants
+    with failures are listed as unavailable and their evaluation raises,
+    keeping the direct form normative.
     """
+    return copy.deepcopy(_conformance_scan())
+
+
+@cache
+def _conformance_scan() -> dict:
     checked = 0
     failures = []
     for variant in _VARIANTS:
@@ -241,7 +246,7 @@ def _evaluate_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> int
             f"({z=}, shift={shift}) is outside every declared {repr_kind.value} domain for {kind}"
         )
     key = f"{repr_kind.value}/{kind}/{variant.name}"
-    if key in conformance_report()["unavailable"]:
+    if key in _conformance_scan()["unavailable"]:
         raise RepresentationMismatchError(f"{key} failed its truth-table scan; direct form is normative")
     return _round_step(variant.evaluate(z, shift), variant.tolerance, f"{key} at (z={z}, shift={shift})")
 

@@ -15,7 +15,7 @@ the same `survivor_map` gives. That column-set
 DAG is compiled once per size into a flat schedule of 2^n - n - 1 states,
 children first, evaluated in one pass up from the closed 2x2 forms.
 
-Index tables per (size, encoding) are computed once and cached, and each
+The expansion per (size, encoding) is computed once and cached, and each
 closed-form table is compiled once into a shared-prefix product program
 that multiplies every distinct row prefix once. Products still start from
 1 + 0j and sums keep their term order, so results are bit for bit those of
@@ -26,6 +26,7 @@ not cover raises UnsupportedCombinationError.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from enum import Enum, unique
 from functools import lru_cache
@@ -36,7 +37,7 @@ from .discrete import ReprKind
 from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
 from .indices import survivor_map
 from .matrices import Matrix, minor_by_formula
-from .oracles import _LEIBNIZ_MAX, _finite, _finite_inverse
+from .oracles import _LEIBNIZ_MAX, _entry_overflow, _finite, _finite_inverse
 
 CLOSED_FORM_SIZES = (2, 3, 4, 5)
 GENERAL_SIZE_CAP = 8
@@ -89,7 +90,6 @@ def _column_terms(n: int, repr_kind: ReprKind) -> tuple[SignedTerm, ...]:
     return tuple(_expand(tuple(range(1, n + 1)), 1, (), repr_kind))
 
 
-@lru_cache(maxsize=None)
 def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Signed flat-offset products of the n x n determinant."""
     return tuple(
@@ -98,7 +98,6 @@ def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]]
     )
 
 
-@lru_cache(maxsize=None)
 def _inverse_terms(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
     """Signed flat-offset numerator products of each inverse entry, row-major.
 
@@ -283,13 +282,17 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
 
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a) with both
     determinants telescoped, so one entry never costs a full inverse.
+    DomainError names the entry if it overflows.
     """
     a._check_index("row", p)
     a._check_index("column", q)
     det = general_det(a)
     _guard_determinant(a, det)
     numer = _telescope_det(minor_by_formula(a, p, q))
-    return (numer if (p + q) % 2 == 0 else -numer) / det
+    value = (numer if (p + q) % 2 == 0 else -numer) / det
+    if not cmath.isfinite(value):
+        raise _entry_overflow(q, p, value)
+    return value
 
 
 def general_inverse(a: Matrix) -> Matrix:

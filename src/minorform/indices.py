@@ -86,24 +86,28 @@ def primed_index(k: int, hist: IndexHistory) -> int:
     return value
 
 
+def _reflected(hist: IndexHistory) -> IndexHistory:
+    if hist.base not in (1, 2):
+        raise DomainError(f"reflection is defined for base 1 or 2 only, got {hist.base}")
+    return IndexHistory(3 - hist.base, hist.chain)
+
+
 def reflected_primed_index(k: int, hist: IndexHistory) -> int:
     """As primed_index, but the 2x2-level base is reflected (1 <-> 2)."""
-    if hist.base not in (1, 2):
-        raise DomainError(
-            f"reflection is defined for base 1 or 2 only, got {hist.base}"
-        )
-    return primed_index(k, IndexHistory(3 - hist.base, hist.chain))
+    return primed_index(k, _reflected(hist))
 
 
-def _expanded(base: int, chain: tuple[int, ...]) -> int:
+def primed_index_expanded(k: int, hist: IndexHistory) -> int:
+    """Alternate closed-sum evaluator for primed_index; no recursion."""
     # Branch-sum evaluation: bit m-1 of the branch number says whether the
     # m-th inner deletion did (1) or did not (0) sit at-or-below the running
     # index, contributing its step gate and, if it did, advancing the index;
     # exactly one branch has all gates open, and it reproduces the fold.
-    k = len(chain)
+    _check_depth(k, hist)
+    chain = hist.chain
     total = 0
     for bits in range(1 << (k - 1)):
-        index, gates = base, 1
+        index, gates = hist.base, 1
         for m in range(1, k):
             deleted = chain[k - m]  # innermost deletion handled first
             if bits >> (m - 1) & 1:
@@ -118,17 +122,6 @@ def _expanded(base: int, chain: tuple[int, ...]) -> int:
     return total
 
 
-def primed_index_expanded(k: int, hist: IndexHistory) -> int:
-    """Alternate closed-sum evaluator for primed_index; no recursion."""
-    _check_depth(k, hist)
-    return _expanded(hist.base, hist.chain)
-
-
 def reflected_primed_index_expanded(k: int, hist: IndexHistory) -> int:
     """Alternate closed-sum evaluator for reflected_primed_index."""
-    if hist.base not in (1, 2):
-        raise DomainError(
-            f"reflection is defined for base 1 or 2 only, got {hist.base}"
-        )
-    _check_depth(k, hist)
-    return _expanded(3 - hist.base, hist.chain)
+    return primed_index_expanded(k, _reflected(hist))

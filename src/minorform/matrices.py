@@ -30,7 +30,7 @@ SPARSE_PATTERNS: dict[int, tuple[int, ...]] = {
 
 def _as_complex(value) -> complex:
     if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
-        raise DomainError(f"matrix entries must be numbers, got {value!r}")
+        raise DomainError(f"entries must be numbers, got {value!r}")
     return complex(value)
 
 

@@ -18,10 +18,6 @@ from .matrices import Matrix, minor_by_deletion
 
 _LEIBNIZ_MAX = 9  # n! products; 9! = 362880 is the largest tolerable sum
 
-# Elimination treats a pivot column with no entry above this magnitude as
-# exactly zero; normal draws never land here unless the matrix is singular.
-_PIVOT_FLOOR = 1e-300
-
 
 class GaussResult(NamedTuple):
     inverse: Matrix
@@ -34,16 +30,21 @@ def _finite(det: complex) -> complex:
     return det
 
 
+def _entry_overflow(row: int, col: int, value: complex) -> DomainError:
+    """The error naming inverse entry (row, col), which overflowed to value."""
+    return DomainError(
+        f"inverse entry ({row}, {col}) overflowed to {value!r}: its numerator "
+        f"(a cofactor) or its quotient by the determinant is out of double range"
+    )
+
+
 def _finite_inverse(n: int, entries: tuple[complex, ...]) -> Matrix:
     """The inverse Matrix of these entries, or DomainError naming the first that overflowed."""
     try:
         return Matrix(n, entries)
     except DomainError:
         k = next(k for k, v in enumerate(entries) if not cmath.isfinite(v))
-        raise DomainError(
-            f"inverse entry ({k // n + 1}, {k % n + 1}) overflowed to {entries[k]!r}: its numerator "
-            f"(a cofactor) or its quotient by the determinant is out of double range"
-        ) from None
+        raise _entry_overflow(k // n + 1, k % n + 1, entries[k]) from None
 
 
 def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
@@ -133,17 +134,15 @@ def residual_max_abs(a: Matrix, x: Matrix) -> float:
 def gauss_inverse(a: Matrix) -> GaussResult:
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
-    Pivots are chosen by largest magnitude; ties keep the first candidate,
-    so the computation is deterministic. Callers that want the worst-entry
-    residual against the identity ask `residual_max_abs` for it.
+    Pivots are chosen by largest magnitude, ties keep the first candidate,
+    and only an exactly zero pivot is singular. Callers that want the
+    worst-entry residual against the identity ask `residual_max_abs`.
     """
-    if a.n < 1:
-        raise DomainError("elimination requires a square matrix")
     n = a.n
     aug = [row + [1.0 + 0.0j if r == c else 0.0 + 0.0j for c in range(n)] for r, row in enumerate(a.rows())]
     for k in range(n):
         pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
-        if abs(aug[pivot_row][k]) < _PIVOT_FLOOR:
+        if aug[pivot_row][k] == 0:
             raise SingularMatrixError(f"no usable pivot in column {k + 1}")
         if pivot_row != k:
             aug[k], aug[pivot_row] = aug[pivot_row], aug[k]

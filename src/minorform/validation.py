@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .discrete import ReprKind
 from .engines import (
@@ -65,7 +65,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class HistogramReport:
-    """Aggregated dB scores: fixed 2 dB bins plus order statistics."""
+    """Aggregated dB scores: fixed BIN_WIDTH_DB bins plus order statistics."""
 
     trials: int
     redraws: int
@@ -74,7 +74,7 @@ class HistogramReport:
     median_db: float
     mode_db: float
     bins: tuple[tuple[float, float, int], ...]
-    bin_width_db: float = field(default=BIN_WIDTH_DB)
+    bin_width_db = BIN_WIDTH_DB  # a class constant, not a field
 
 
 def mse(x: Matrix, y: Matrix) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .discrete import gamma_int
 from .errors import DomainError
+from .matrices import _as_complex
 
 Vec3 = tuple[complex, complex, complex]
 
@@ -43,14 +44,15 @@ class CurlInput:
 
     def __post_init__(self):
         try:
-            h = tuple(float(v) for v in self.scale_factors)
-            rows = tuple(tuple(complex(v) for v in row) for row in self.partials)
-        except (TypeError, ValueError) as exc:
+            h = tuple(map(_as_complex, self.scale_factors))
+            rows = tuple(tuple(map(_as_complex, row)) for row in self.partials)
+        except TypeError as exc:
             raise DomainError(f"curl input is not numeric: {exc}") from exc
-        if len(h) != 3 or any(not v > 0 for v in h):
+        if len(h) != 3 or any(v.imag or not v.real > 0 for v in h):
             raise DomainError(
                 f"scale factors must be three positive reals, got {self.scale_factors!r}"
             )
+        h = tuple(v.real for v in h)
         volume = h[0] * h[1] * h[2]
         if not 0 < volume < math.inf:
             raise DomainError(f"scale factor product {volume!r} is not a positive finite float")
@@ -80,10 +82,8 @@ def curl_components(inp: CurlInput) -> Vec3:
 def scalar_triple(a, b, c) -> complex:
     """Signed volume a . (b x c) via the same gamma-indexed expansion."""
     try:
-        a = tuple(complex(v) for v in a)
-        b = tuple(complex(v) for v in b)
-        c = tuple(complex(v) for v in c)
-    except (TypeError, ValueError) as exc:
+        a, b, c = (tuple(map(_as_complex, v)) for v in (a, b, c))
+    except TypeError as exc:
         raise DomainError(f"vector input is not numeric: {exc}") from exc
     if len(a) != 3 or len(b) != 3 or len(c) != 3:
         raise DomainError("scalar_triple takes three 3-component vectors")

@@ -272,6 +272,20 @@ def test_repr_is_a_det_option_only(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_volume_names_a_component_that_is_not_a_number(capsys):
+    # "--a -x,0,0" never gets here: argparse takes -x for a flag
+    code, out, err = run_cli(capsys, "volume", "--a=x,0,0", "--b=0,1,0", "--c=0,0,1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: --a: could not convert string to float: 'x'\n"
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["minorform", "expand", "--size", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "+ 1 2\n- 2 1\n"
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "det", "--help")[0] == 0

@@ -170,6 +170,15 @@ def test_conformance_scan_is_clean():
     assert report["checked"] == 106
 
 
+def test_each_conformance_report_is_a_copy():
+    report = conformance_report()
+    report["unavailable"].append("cosine/delta/cosine")
+    report["failures"].append({"variant": "cosine"})
+    report["checked"] = 0
+    assert repr_delta(1, 1, ReprKind.COSINE) == 1
+    assert conformance_report() == {"checked": 106, "failures": [], "unavailable": []}
+
+
 # Reference implementation: each windowed encoding written out on its own.
 # The variants evaluate one generic form per kind.
 def _ref_peak(z, n):

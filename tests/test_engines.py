@@ -519,6 +519,25 @@ def test_telescope_schedule_is_built_once_per_size():
 
 
 @pytest.mark.parametrize(
+    "rows, p, q, named",
+    [
+        ([[1e300, 0, 0], [0, 1e-300, 0], [0, 0, 1e300]], 2, 2, "(2, 2)"),
+        ([[0, 1e300, 0], [1e-300, 0, 0], [0, 0, 1e300]], 2, 1, "(1, 2)"),
+    ],
+    ids=["diagonal", "transposed"],
+)
+def test_element_inverse_names_an_overflowing_entry(rows, p, q, named):
+    # the determinant is finite; the cofactor of a[p, q] overflows, and the
+    # entry it feeds is (q, p), as general_inverse names it
+    a = Matrix.from_rows(rows)
+    message = rf"inverse entry \({named[1:-1]}\) overflowed"
+    with pytest.raises(DomainError, match=message):
+        element_inverse(a, p, q)
+    with pytest.raises(DomainError, match=message):
+        general_inverse(a)
+
+
+@pytest.mark.parametrize(
     "invert, n, scale",
     [
         (closed_form_inverse, 5, 1e70),

@@ -112,6 +112,13 @@ def test_gauss_inverse_raises_on_exact_singularity():
         gauss_inverse(Matrix.from_rows([[0, 0], [0, 0]]))
 
 
+def test_gauss_inverse_refuses_only_an_exact_zero_pivot():
+    # every pivot is 2^-1000, far below any hand-picked floor, and the
+    # inverse 2^1000 I is exact
+    tiny = Matrix(3, tuple(2.0**-1000 * v for v in identity(3).data))
+    assert gauss_inverse(tiny).inverse.data == tuple(2.0**1000 * v for v in identity(3).data)
+
+
 def test_inverse_involution():
     a = random_matrix(3, seed=5)
     twice = gauss_inverse(gauss_inverse(a).inverse).inverse

@@ -10,14 +10,18 @@ from minorform import (
     Method,
     TrialConfig,
     UnsupportedCombinationError,
+    closed_form_inverse,
+    gauss_inverse,
     histogram_csv,
     identity,
     mse,
+    random_matrix,
     run_trials,
     sparse_suite,
+    stream_seed,
     summary_json,
 )
-from minorform.validation import DB_FLOOR, MSE_CLAMP_FLOOR, _build_report, _db_score
+from minorform.validation import BIN_WIDTH_DB, DB_FLOOR, MSE_CLAMP_FLOOR, HistogramReport, _build_report, _db_score
 
 
 def test_mse_definition():
@@ -69,6 +73,12 @@ def test_report_single_value_produces_one_bin():
     assert report.mode_db == DB_FLOOR + 1.0
 
 
+def test_bin_width_is_a_constant_not_a_field():
+    assert HistogramReport.bin_width_db == BIN_WIDTH_DB
+    with pytest.raises(TypeError):
+        HistogramReport(1, 0, 0.0, 0.0, 0.0, 1.0, ((0.0, 2.0, 1),), bin_width_db=5.0)
+
+
 def test_trial_config_validation():
     TrialConfig(trials=10, size=5)
     with pytest.raises(DomainError):
@@ -102,6 +112,27 @@ def test_run_trials_other_methods():
     assert tele.max_db < -80.0
     oracle = run_trials(TrialConfig(trials=40, size=3, seed=3, method=Method.ORACLE))
     assert oracle.max_db < -80.0
+
+
+def test_a_singular_draw_is_redrawn_from_its_remixed_seed(monkeypatch):
+    seed = 17
+    draws = []
+
+    def zero_first(n, draw_seed, complex_entries=False):
+        draws.append(draw_seed)
+        if len(draws) == 1:
+            return Matrix(n, (0.0,) * (n * n))
+        return random_matrix(n, draw_seed, complex_entries)
+
+    monkeypatch.setattr("minorform.validation.random_matrix", zero_first)
+    report = run_trials(TrialConfig(trials=1, size=3, seed=seed))
+    redrawn = stream_seed(stream_seed(seed, 0), 0)
+    assert draws == [stream_seed(seed, 0), redrawn]
+    assert report.redraws == 1
+    a = random_matrix(3, redrawn)
+    expected = _db_score(mse(closed_form_inverse(a), gauss_inverse(a).inverse))
+    assert report.min_db == report.max_db == expected
+    assert '"redraws": 1' in summary_json(report)
 
 
 def test_histogram_csv_shape():

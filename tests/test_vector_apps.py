@@ -106,6 +106,23 @@ def test_curl_input_validation():
         curl_components(CurlInput((1e-150, 1e-150, 1e300), ((0, 0, 0), (1e300, 0, 0), (0, 0, 0))))
 
 
+@pytest.mark.parametrize("bad", ["1", True])
+def test_components_are_numbers_by_the_matrix_rule(bad):
+    # strings and bools are refused, as Matrix refuses them
+    with pytest.raises(DomainError, match="must be numbers"):
+        scalar_triple((bad, 2, 3), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(DomainError, match="must be numbers"):
+        CurlInput((bad, 1, 1), ((0,) * 3,) * 3)
+    with pytest.raises(DomainError, match="must be numbers"):
+        CurlInput((1, 1, 1), ((bad, 0, 0), (0,) * 3, (0,) * 3))
+
+
+def test_scale_factors_are_real():
+    with pytest.raises(DomainError, match="positive reals"):
+        CurlInput((1j, 1, 1), ((0,) * 3,) * 3)
+    assert CurlInput((2 + 0j, 1, 1), ((0,) * 3,) * 3).scale_factors == (2.0, 1.0, 1.0)
+
+
 def test_scalar_triple_unit_vectors():
     assert scalar_triple((1, 0, 0), (0, 1, 0), (0, 0, 1)) == 1
     assert scalar_triple((0, 1, 0), (1, 0, 0), (0, 0, 1)) == -1
