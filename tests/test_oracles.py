@@ -113,8 +113,7 @@ def test_gauss_inverse_raises_on_exact_singularity():
 
 
 def test_gauss_inverse_refuses_only_an_exact_zero_pivot():
-    # every pivot is 2^-1000, far below any hand-picked floor, and the
-    # inverse 2^1000 I is exact
+    # every pivot is 2^-1000: tiny but not zero, and the inverse 2^1000 I is exact
     tiny = Matrix(3, tuple(2.0**-1000 * v for v in identity(3).data))
     assert gauss_inverse(tiny).inverse.data == tuple(2.0**1000 * v for v in identity(3).data)
 
