@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
 from functools import cache, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, RepresentationMismatchError
 
@@ -153,8 +152,7 @@ def _neg_hermite_he2(z: float) -> float:
     return -hermite_he2(z)
 
 
-@dataclass(frozen=True)
-class _Variant:
+class _Variant(NamedTuple):
     name: str
     kind: str  # "delta" | "heav"
     repr_kind: ReprKind

@@ -10,10 +10,8 @@ step: minors, the expansion and the telescope schedule all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .discrete import ReprKind, _heav_gamma_extended, heav, repr_heav
-from .errors import DomainError
+from .errors import DomainError, FrozenRecord
 
 
 def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
@@ -26,8 +24,17 @@ def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise DomainError(f"minor position must be a positive integer, got {t!r}")
+    _check_deleted(r0)
+    return _step(t, r0, repr_kind)
+
+
+def _check_deleted(r0: int) -> None:
     if not isinstance(r0, int) or isinstance(r0, bool) or r0 < 1:
         raise DomainError(f"deleted index must be a positive integer, got {r0!r}")
+
+
+def _step(t: int, r0: int, repr_kind: ReprKind) -> int:
+    # kappa on checked arguments
     try:
         return t + 1 - repr_heav(r0, t + 1, repr_kind)
     except DomainError:
@@ -37,30 +44,34 @@ def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
 
 
 def survivor_map(colmap: tuple[int, ...], s: int, repr_kind: ReprKind = ReprKind.DIRECT) -> tuple[int, ...]:
-    """The map left by deleting position s of colmap: its position t reads colmap's kappa(t, s)."""
-    return tuple(colmap[kappa(t, s, repr_kind) - 1] for t in range(1, len(colmap)))
+    """The map left by deleting position s of colmap: its position t reads colmap's kappa(t, s).
+
+    s is checked once, as kappa checks its deleted index; the positions
+    are range integers and need no check.
+    """
+    _check_deleted(s)
+    return tuple(colmap[_step(t, s, repr_kind) - 1] for t in range(1, len(colmap)))
 
 
-@dataclass(frozen=True)
-class IndexHistory:
+class IndexHistory(FrozenRecord):
     """A base index at depth K plus the deletion chain above it.
 
     chain[0] is the outermost deleted index (in original coordinates),
     chain[-1] the innermost; base indexes the innermost minor.
     """
 
-    base: int
-    chain: tuple[int, ...]
+    __slots__ = ("base", "chain")
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or isinstance(self.base, bool) or self.base < 1:
-            raise DomainError(f"base index must be a positive integer, got {self.base!r}")
-        chain = tuple(self.chain)
+    def __init__(self, base: int, chain: tuple[int, ...]):
+        if not isinstance(base, int) or isinstance(base, bool) or base < 1:
+            raise DomainError(f"base index must be a positive integer, got {base!r}")
+        chain = tuple(chain)
         if not chain:
             raise DomainError("deletion chain must contain at least one index")
         for r in chain:
             if not isinstance(r, int) or isinstance(r, bool) or r < 1:
                 raise DomainError(f"deleted indices must be positive integers, got {r!r}")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "chain", chain)
 
     @property

@@ -11,10 +11,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, FrozenRecord, ParseError
 from .indices import kappa
 from .rng import SplitMix64
 
@@ -31,29 +30,28 @@ SPARSE_PATTERNS: dict[int, tuple[int, ...]] = {
 def _as_complex(value) -> complex:
     if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
         raise DomainError(f"entries must be numbers, got {value!r}")
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError:  # an int beyond binary64 range
+        raise DomainError("entries must be within floating-point range") from None
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(FrozenRecord):
     """Immutable n x n complex matrix stored row-major."""
 
-    n: int
-    data: tuple[complex, ...]
+    __slots__ = ("n", "data")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"matrix size must be a positive integer, got {self.n!r}")
-        if len(self.data) != self.n * self.n:
-            raise DomainError(
-                f"expected {self.n * self.n} entries for a {self.n}x{self.n} matrix, got {len(self.data)}"
-            )
-        data = self.data
+    def __init__(self, n: int, data: tuple[complex, ...]):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"matrix size must be a positive integer, got {n!r}")
+        if len(data) != n * n:
+            raise DomainError(f"expected {n * n} entries for a {n}x{n} matrix, got {len(data)}")
         if type(data) is not tuple or not all(type(v) is complex for v in data):
             data = tuple(_as_complex(v) for v in data)
         for v in data:
             if not cmath.isfinite(v):
                 raise DomainError(f"matrix entries must be finite, got {v!r}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "data", data)
 
     @classmethod

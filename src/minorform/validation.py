@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .discrete import ReprKind
 from .engines import (
@@ -22,7 +22,13 @@ from .engines import (
     closed_form_inverse,
     general_inverse,
 )
-from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
+from .errors import (
+    DomainError,
+    FrozenRecord,
+    NearSingularWarning,
+    SingularMatrixError,
+    UnsupportedCombinationError,
+)
 from .matrices import Matrix, random_matrix, sparse_case, _format_float
 from .oracles import cofactor_inverse, gauss_inverse, leibniz_det
 from .rng import stream_seed
@@ -34,8 +40,7 @@ SPARSE_TOLERANCE = 1e-12
 SPARSE_DEFAULT_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(FrozenRecord):
     """Validated harness parameters.
 
     There is no encoding field: the inverse engines read step-exact index
@@ -43,28 +48,33 @@ class TrialConfig:
     checked with the direct encoding.
     """
 
-    trials: int
-    size: int
-    seed: int = 0
-    method: Method = Method.CLOSED_FORM
-    complex_entries: bool = False
+    __slots__ = ("trials", "size", "seed", "method", "complex_entries")
 
-    def __post_init__(self):
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise DomainError(f"size must be an integer, got {self.size!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not 2 <= self.size <= GENERAL_SIZE_CAP:
-            raise UnsupportedCombinationError(
-                f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {self.size}"
-            )
-        check_combination(self.size, self.method, ReprKind.DIRECT)
+    def __init__(
+        self,
+        trials: int,
+        size: int,
+        seed: int = 0,
+        method: Method = Method.CLOSED_FORM,
+        complex_entries: bool = False,
+    ):
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            raise DomainError(f"trials must be a positive integer, got {trials!r}")
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise DomainError(f"size must be an integer, got {size!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise DomainError(f"seed must be an integer, got {seed!r}")
+        if not 2 <= size <= GENERAL_SIZE_CAP:
+            raise UnsupportedCombinationError(f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {size}")
+        check_combination(size, method, ReprKind.DIRECT)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "complex_entries", complex_entries)
 
 
-@dataclass(frozen=True)
-class HistogramReport:
+class HistogramReport(NamedTuple):
     """Aggregated dB scores: fixed BIN_WIDTH_DB bins plus order statistics."""
 
     trials: int
@@ -163,8 +173,7 @@ def run_trials(cfg: TrialConfig) -> HistogramReport:
     return _build_report(dbs, redraws)
 
 
-@dataclass(frozen=True)
-class SparseCheck:
+class SparseCheck(NamedTuple):
     """Result of one sparse-pattern case; failures are reported, not raised."""
 
     case_id: int

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .discrete import gamma_int
-from .errors import DomainError
+from .errors import DomainError, FrozenRecord
 from .matrices import _as_complex
 
 Vec3 = tuple[complex, complex, complex]
@@ -32,26 +31,26 @@ def _index_pair(l: int, j: int) -> tuple[int, int]:
     return 2 + swing - l, 4 - swing
 
 
-@dataclass(frozen=True)
-class CurlInput:
+class CurlInput(FrozenRecord):
     """Scale factors h1..h3 and the 3x3 array of scaled-field partials.
 
     partials[a-1][b-1] holds the derivative of (h_a A_a) along coordinate b.
     """
 
-    scale_factors: tuple[float, float, float]
-    partials: tuple[tuple[complex, complex, complex], ...]
+    __slots__ = ("scale_factors", "partials")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        scale_factors: tuple[float, float, float],
+        partials: tuple[tuple[complex, complex, complex], ...],
+    ):
         try:
-            h = tuple(map(_as_complex, self.scale_factors))
-            rows = tuple(tuple(map(_as_complex, row)) for row in self.partials)
+            h = tuple(map(_as_complex, scale_factors))
+            rows = tuple(tuple(map(_as_complex, row)) for row in partials)
         except TypeError as exc:
             raise DomainError(f"curl input is not numeric: {exc}") from exc
         if len(h) != 3 or any(v.imag or not v.real > 0 for v in h):
-            raise DomainError(
-                f"scale factors must be three positive reals, got {self.scale_factors!r}"
-            )
+            raise DomainError(f"scale factors must be three positive reals, got {scale_factors!r}")
         h = tuple(v.real for v in h)
         volume = h[0] * h[1] * h[2]
         if not 0 < volume < math.inf:

@@ -1,9 +1,12 @@
 """tools/bench_record.py on synthetic perfbench run files."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 
@@ -53,3 +56,18 @@ def test_an_empty_runs_directory_is_refused(tmp_path):
     )
     assert done.returncode != 0 and "no <workload>-seed<N>-trace0.json files" in done.stderr
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+@pytest.mark.parametrize("dont_write", [False, True])
+def test_record_notes_whether_bytecode_could_be_written(tmp_path, dont_write):
+    runs = tmp_path / ".perfbench_runs"
+    runs.mkdir()
+    (runs / "w-seed1-trace0.json").write_text(run_file(1, 10.0, failed=0))
+    (tmp_path / "src").mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    if dont_write:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), str(runs), "b", "--out", str(tmp_path)], env=env, capture_output=True, check=True
+    )
+    assert json.loads((tmp_path / "BENCH_b.json").read_text())["dont_write_bytecode"] is dont_write

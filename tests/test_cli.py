@@ -286,6 +286,18 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
     assert capsys.readouterr().out == "+ 1 2\n- 2 1\n"
 
 
+def test_the_cli_imports_from_the_standard_library_alone():
+    # -S leaves site-packages off the path; dataclasses (which pulls in
+    # inspect) used to be most of the package's import time
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import minorform.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = Path(minorform.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "det", "--help")[0] == 0

@@ -15,6 +15,7 @@ from minorform import (
     reflected_primed_index,
     reflected_primed_index_expanded,
 )
+from minorform.indices import survivor_map
 
 MAX_SOURCE_SIZE = 8
 
@@ -63,6 +64,19 @@ def test_kappa_through_an_encoding_is_the_direct_step():
                 assert kappa(t, r0, repr_kind) == kappa(t, r0)
         with pytest.raises(DomainError):
             kappa(3, 1, repr_kind)
+
+
+@pytest.mark.parametrize("repr_kind", [ReprKind.DIRECT, ReprKind.GAMMA])
+def test_survivor_map_reads_kappa_and_checks_s_on_every_map(repr_kind):
+    colmap = (4, 7, 9, 12)
+    for s in range(1, 6):
+        expected = tuple(colmap[kappa(t, s, repr_kind) - 1] for t in range(1, 4))
+        assert survivor_map(colmap, s, repr_kind) == expected
+    # a map too short to have a position to read still checks s
+    for short in ((), (4,)):
+        for bad in (0, True, 1.0):
+            with pytest.raises(DomainError, match="deleted index"):
+                survivor_map(short, bad, repr_kind)
 
 
 def test_kappa_composition_order_matters():

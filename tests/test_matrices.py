@@ -2,13 +2,17 @@
 
 import json
 import math
+import pickle
 import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minorform import (
+    CurlInput,
     DomainError,
+    HistogramReport,
+    IndexHistory,
     Matrix,
     ParseError,
     heav,
@@ -20,8 +24,12 @@ from minorform import (
     parse_matrix,
     random_matrix,
     sparse_case,
+    SparseCheck,
+    TrialConfig,
     write_matrix,
 )
+from minorform.discrete import ReprKind, _Variant
+from minorform.engines import Method
 from minorform.matrices import SPARSE_PATTERNS
 
 
@@ -66,10 +74,57 @@ def test_matrix_stores_a_tuple_of_exact_complex():
         Matrix(2, (float("inf"), "x", 1j, 1j))
 
 
-def test_matrix_is_immutable():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
+def _step_one(z, shift):
+    return 1.0
+
+
+# (record type, its field values, its first field, its repr or None where
+# a field's repr holds an address); every repr is the one the records had
+# as frozen dataclasses.
+RECORDS = {
+    "Matrix": (Matrix, (1, (1 + 0j,)), "n", "Matrix(n=1, data=((1+0j),))"),
+    "TrialConfig": (
+        TrialConfig,
+        (1, 3, 0, Method.TELESCOPE, False),
+        "trials",
+        "TrialConfig(trials=1, size=3, seed=0, method=<Method.TELESCOPE: 'telescope'>, complex_entries=False)",
+    ),
+    "IndexHistory": (IndexHistory, (2, (3, 1)), "base", "IndexHistory(base=2, chain=(3, 1))"),
+    "CurlInput": (
+        CurlInput,
+        ((1.0, 2.0, 3.0), ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))),
+        "scale_factors",
+        "CurlInput(scale_factors=(1.0, 2.0, 3.0), partials=(((1+0j), 0j, 0j), (0j, (1+0j), 0j), (0j, 0j, (1+0j))))",
+    ),
+    "HistogramReport": (
+        HistogramReport,
+        (1, 0, -3.0, -3.0, -3.0, -2.0, ((-3.0, -1.0, 1),)),
+        "trials",
+        "HistogramReport(trials=1, redraws=0, min_db=-3.0, max_db=-3.0, median_db=-3.0, mode_db=-2.0,"
+        " bins=((-3.0, -1.0, 1),))",
+    ),
+    "SparseCheck": (
+        SparseCheck,
+        (1, 1j, 1j, 0.0, 0.0, True),
+        "case_id",
+        "SparseCheck(case_id=1, det_value=1j, det_reference=1j, det_error=0.0, inverse_error=0.0, passed=True)",
+    ),
+    "_Variant": (_Variant, ("one", "heav", ReprKind.GAMMA, (2,), 3, _step_one, 1e-9), "name", None),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_frozen_values(name):
+    cls, fields, first, expected_repr = RECORDS[name]
+    a, b = cls(*fields), cls(*fields)
     with pytest.raises(AttributeError):
-        a.n = 3
+        setattr(a, first, getattr(b, first))
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    assert a is not b and a == b and hash(a) == hash(b) == hash(fields)
+    assert pickle.loads(pickle.dumps(a)) == a
+    if expected_repr is not None:
+        assert repr(a) == expected_repr
 
 
 def test_minor_by_deletion_shape_and_content():
@@ -160,6 +215,16 @@ def test_sparse_case_one_has_positive_determinant():
     # frozen from the permutation oracle: the placement is an even permutation
     m = sparse_case(1, (1, 2, 3, 4, 5))
     assert leibniz_det(m) == 120
+
+
+def test_matrix_refuses_an_int_beyond_float_range():
+    with pytest.raises(DomainError, match="floating-point range"):
+        Matrix(1, (10**400,))
+
+
+def test_sparse_case_refuses_an_int_beyond_float_range():
+    with pytest.raises(DomainError, match="floating-point range"):
+        sparse_case(1, (10**400, 1, 1, 1, 1))
 
 
 def test_sparse_case_validation():

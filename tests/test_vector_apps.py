@@ -123,6 +123,11 @@ def test_scale_factors_are_real():
     assert CurlInput((2 + 0j, 1, 1), ((0,) * 3,) * 3).scale_factors == (2.0, 1.0, 1.0)
 
 
+def test_scalar_triple_refuses_an_int_beyond_float_range():
+    with pytest.raises(DomainError, match="floating-point range"):
+        scalar_triple((10**400, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def test_scalar_triple_unit_vectors():
     assert scalar_triple((1, 0, 0), (0, 1, 0), (0, 0, 1)) == 1
     assert scalar_triple((0, 1, 0), (1, 0, 0), (0, 0, 1)) == -1

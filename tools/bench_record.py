@@ -7,8 +7,12 @@ RUNS_DIR is the `.perfbench_runs` directory that one or more
 `<workload>-seed<N>-trace0.json` file in it is one run. The record holds,
 per workload, the seeds and the median and quartiles of each end-to-end
 metric over those runs, with the operations attempted and failed. It also
-holds the checkout's commit (`git rev-parse HEAD`), its `src/` line count
-and the Python version that wrote the record. Standard library only.
+holds the checkout's commit (`git rev-parse HEAD`), its `src/` line count,
+the Python version that wrote the record and whether that interpreter ran
+with bytecode writing off (`PYTHONDONTWRITEBYTECODE` or `-B`). perfbench's
+interpreters started from the same shell inherit that setting, and
+without a bytecode cache every `setup_s` sample compiles `src/` afresh.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ def summarise(runs_dir: Path, label: str) -> dict:
         "label": label,
         "commit": _commit(checkout),
         "python": platform.python_version(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "src_lines": _src_lines(checkout),
         "workloads": workloads,
     }
