@@ -22,13 +22,7 @@ from .engines import (
     closed_form_inverse,
     general_inverse,
 )
-from .errors import (
-    DomainError,
-    FrozenRecord,
-    NearSingularWarning,
-    SingularMatrixError,
-    UnsupportedCombinationError,
-)
+from .errors import DomainError, FrozenRecord, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
 from .matrices import Matrix, random_matrix, sparse_case, _format_float
 from .oracles import cofactor_inverse, gauss_inverse, leibniz_det
 from .rng import stream_seed
