@@ -41,6 +41,12 @@ class ReprKind(Enum):
     HERMITE = "hermite"
 
 
+def _check_encoding(repr_kind: ReprKind) -> None:
+    """Raise DomainError unless repr_kind is a ReprKind member."""
+    if not isinstance(repr_kind, ReprKind):
+        raise DomainError(f"encoding must be a ReprKind, got {repr_kind!r}")
+
+
 def kron(z: int) -> int:
     """Kronecker delta: 1 at z == 0, else 0."""
     return 1 if z == 0 else 0
@@ -234,6 +240,7 @@ def _conformance_scan() -> dict:
 
 
 def _evaluate_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> int:
+    _check_encoding(repr_kind)
     # the first match wins, so a bounded form is preferred over a general parity form
     variant = next(
         (v for v in _VARIANTS if v.kind == kind and v.repr_kind is repr_kind and v.member(z, shift)),

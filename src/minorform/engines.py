@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .discrete import ReprKind
+from .discrete import ReprKind, _check_encoding
 from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
 from .indices import survivor_map
 from .matrices import Matrix, minor_by_formula
@@ -113,7 +113,13 @@ def _inverse_terms(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...
 
 
 def check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
-    """Raise UnsupportedCombinationError unless the engine covers (n, encoding)."""
+    """Raise UnsupportedCombinationError unless the engine covers (n, encoding).
+
+    A method or encoding that is not a member of its enum raises DomainError.
+    """
+    if not isinstance(method, Method):
+        raise DomainError(f"method must be a Method, got {method!r}")
+    _check_encoding(repr_kind)
     if method is Method.CLOSED_FORM:
         if n not in CLOSED_FORM_SIZES:
             raise UnsupportedCombinationError(
@@ -246,18 +252,19 @@ def _telescope_schedule(n: int):
     return tuple(pairs), tuple(states)
 
 
-def _telescope_det(a: Matrix) -> complex:
-    """Determinant by first-row expansion over sets of surviving columns.
+def _telescope_states(a: Matrix) -> list[complex]:
+    """Every state of `_telescope_schedule(a.n)` on `a`, the determinant last.
 
     A chain of first-row deletions leaves a minor named by the tuple of
-    its k surviving columns, on the last k rows of `a`. One pass over
-    `_telescope_schedule` evaluates each minor once, bit for bit as the
-    recursion `oracles.laplace_det`: sums start from 0j and skip zero pivots;
-    minors only zero pivots lead to are evaluated, never read.
+    its k surviving columns, on the last k rows of `a`. One pass over the
+    schedule evaluates each minor once, bit for bit as the recursion
+    `oracles.laplace_det`: sums start from 0j and skip zero pivots. The
+    last state's children are the n first-row minors, which
+    `general_inverse` reads, those behind zero pivots included.
     """
     n, data = a.n, a.data
     if n == 1:
-        return data[0]
+        return [data[0]]
     pairs, states = _telescope_schedule(n)
     v = [0j + data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
     for state in states:
@@ -268,13 +275,13 @@ def _telescope_det(a: Matrix) -> complex:
                 term = pivot * v[child]
                 value += -term if odd else term
         v.append(value)
-    return v[-1]
+    return v
 
 
 def general_det(a: Matrix) -> complex:
     """Determinant by telescoping first-row expansion (sizes 2..GENERAL_SIZE_CAP)."""
     check_combination(a.n, Method.TELESCOPE, ReprKind.DIRECT)
-    return _finite(_telescope_det(a))
+    return _finite(_telescope_states(a)[-1])
 
 
 def element_inverse(a: Matrix, p: int, q: int) -> complex:
@@ -288,7 +295,7 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
     a._check_index("column", q)
     det = general_det(a)
     _guard_determinant(a, det)
-    numer = _telescope_det(minor_by_formula(a, p, q))
+    numer = _telescope_states(minor_by_formula(a, p, q))[-1]
     value = (numer if (p + q) % 2 == 0 else -numer) / det
     if not cmath.isfinite(value):
         raise _entry_overflow(q, p, value)
@@ -296,14 +303,26 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
 
 
 def general_inverse(a: Matrix) -> Matrix:
-    """Full inverse from telescoped minor determinants (sizes 2..GENERAL_SIZE_CAP)."""
-    det = general_det(a)
-    _guard_determinant(a, det)
+    """Full inverse from telescoped minor determinants (sizes 2..GENERAL_SIZE_CAP).
+
+    The determinant's own pass also holds the n first-row minors: the
+    children of its last state, or at n = 2 the entries a[2][2] and a[2][1].
+    The other n^2 - n minors are extracted and telescoped one by one.
+    """
     n = a.n
+    check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)
+    v = _telescope_states(a)
+    det = _finite(v[-1])
+    _guard_determinant(a, det)
+    if n == 2:
+        first_row = (a.data[3], a.data[2])
+    else:
+        _, states = _telescope_schedule(n)
+        first_row = [v[child] for _, _, child in states[-1]]
     out = [0.0 + 0.0j] * (n * n)
     for r in range(1, n + 1):
         for s in range(1, n + 1):
-            numer = _telescope_det(minor_by_formula(a, r, s))
+            numer = first_row[s - 1] if r == 1 else _telescope_states(minor_by_formula(a, r, s))[-1]
             if (r + s) % 2:
                 numer = -numer
             out[(s - 1) * n + (r - 1)] = numer / det

@@ -56,7 +56,10 @@ class Matrix(FrozenRecord):
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
+        try:
+            rows = [list(r) for r in rows]
+        except TypeError:  # rows, or one of them, is not iterable
+            rows = []
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DomainError("from_rows expects a non-empty square array")

@@ -25,10 +25,16 @@ def _scramble(state: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+
+
 class SplitMix64:
     """splitmix64: state advances by the golden gamma, output is scrambled."""
 
     def __init__(self, seed: int):
+        _check_seed(seed)
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:

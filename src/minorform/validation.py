@@ -25,7 +25,7 @@ from .engines import (
 from .errors import DomainError, FrozenRecord, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
 from .matrices import Matrix, random_matrix, sparse_case, _format_float
 from .oracles import cofactor_inverse, gauss_inverse, leibniz_det
-from .rng import stream_seed
+from .rng import _check_seed, stream_seed
 
 BIN_WIDTH_DB = 2.0
 MSE_CLAMP_FLOOR = 1e-100
@@ -56,8 +56,7 @@ class TrialConfig(FrozenRecord):
             raise DomainError(f"trials must be a positive integer, got {trials!r}")
         if not isinstance(size, int) or isinstance(size, bool):
             raise DomainError(f"size must be an integer, got {size!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
+        _check_seed(seed)
         if not 2 <= size <= GENERAL_SIZE_CAP:
             raise UnsupportedCombinationError(f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {size}")
         check_combination(size, method, ReprKind.DIRECT)

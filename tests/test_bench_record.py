@@ -44,8 +44,11 @@ def test_record_holds_quartiles_seeds_and_provenance(tmp_path):
     w = record["workloads"]["w"]
     assert w["seeds"] == [1, 2, 3] and w["seconds"] == [30.0]
     assert (w["attempted"], w["failed"], w["all_correct"]) == (96, 2, True)
-    assert w["metrics"]["ops_per_s"] == {"unit": "1/s", "q1": 15.0, "median": 20.0, "q3": 25.0}
+    assert w["metrics"]["ops_per_s"] == {
+        "unit": "1/s", "q1": 15.0, "median": 20.0, "q3": 25.0, "by_seed": {"1": 10.0, "2": 20.0, "3": 30.0},
+    }
     assert w["metrics"]["peak_rss_mb"]["median"] == 22.0
+    assert w["metrics"]["peak_rss_mb"]["by_seed"] == {"1": 21.0, "2": 22.0, "3": 23.0}
 
 
 def test_an_empty_runs_directory_is_refused(tmp_path):

@@ -72,6 +72,11 @@ def test_gamma_int_rejects_non_integers():
         gamma_int(True)
 
 
+def test_repr_heav_refuses_an_encoding_that_is_not_a_member():
+    with pytest.raises(DomainError, match="encoding must be a ReprKind, got 'gamma'"):
+        repr_heav(1, 2, "gamma")
+
+
 def test_bessel_j0_reference_points():
     assert bessel_j0(0.0) == 1.0
     assert abs(bessel_j0(1.0) - J0_AT_ONE) < 1e-13

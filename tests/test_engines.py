@@ -130,6 +130,11 @@ def test_closed_sizes_are_bounded():
         closed_form_inverse(identity(1))
 
 
+def test_an_encoding_that_is_not_a_member_is_a_domain_error():
+    with pytest.raises(DomainError, match="encoding must be a ReprKind, got 'direct'"):
+        closed_form_det(identity(3), "direct")
+
+
 def test_encodings_reproduce_the_direct_determinant():
     m3 = random_matrix(3, seed=31, complex_entries=True)
     direct = closed_form_det(m3)
@@ -445,7 +450,8 @@ def test_telescope_extracts_only_first_level_minors(monkeypatch):
     monkeypatch.setattr(engines, "minor_by_formula", counted)
     a = random_matrix(6, seed=61)
     general_inverse(a)
-    assert len(calls) == 36 and {n for n, _, _ in calls} == {6}
+    # row 1's minors are the children of the determinant pass's last state
+    assert sorted(calls) == [(6, r, s) for r in range(2, 7) for s in range(1, 7)]
     calls.clear()
     general_det(a)
     assert calls == []
@@ -502,6 +508,28 @@ def test_minors_behind_zero_pivots_may_overflow_unread(n):
     det = general_det(a)
     assert det != 0 and math.isfinite(abs(det))
     assert repr(det) == repr(laplace_det(a))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_first_row_minor_behind_a_zero_pivot_overflows_in_the_inverse(n):
+    # a[1, 1] is zero, so the determinant never reads the minor without row 1
+    # and column 1, whose diagonal product 1e200 * 1e200 overflows; the
+    # inverse reads it as the cofactor behind entry (1, 1)
+    rows = [[float(r == c) for c in range(n)] for r in range(n)]
+    rows[0][:2] = [0.0, 1.0]
+    rows[1][:2] = [1.0, 1e200]
+    rows[2][2] = 1e200
+    a = Matrix.from_rows(rows)
+    assert not math.isfinite(abs(a.entry(2, 2) * a.entry(3, 3)))
+    det = general_det(a)
+    assert det != 0 and math.isfinite(abs(det))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        with pytest.raises(DomainError, match=r"inverse entry \(1, 1\) overflowed") as telescoped:
+            general_inverse(a)
+        with pytest.raises(DomainError) as oracle:
+            cofactor_inverse(a)
+    assert str(telescoped.value) == str(oracle.value)
 
 
 def test_telescope_schedule_is_built_once_per_size():

@@ -52,6 +52,11 @@ def test_kappa_rejects_non_positive():
         kappa(1, 0)
 
 
+def test_kappa_refuses_an_encoding_that_is_not_a_member():
+    with pytest.raises(DomainError, match="encoding must be a ReprKind, got 'direct'"):
+        kappa(1, 2, "direct")
+
+
 def test_kappa_through_an_encoding_is_the_direct_step():
     # gamma covers every step through its factorial-parity closure; the
     # window encodings cover t + 1 in {2, 3} and r0 in 1..3 and raise beyond

@@ -61,6 +61,16 @@ def test_matrix_validation():
         Matrix(1, ("x",))
 
 
+def test_from_rows_refuses_rows_that_are_not_iterable():
+    with pytest.raises(DomainError, match="from_rows expects a non-empty square array"):
+        Matrix.from_rows([1, 2])
+
+
+def test_random_matrix_refuses_a_seed_that_is_not_an_integer():
+    with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
+        random_matrix(3, 1.5)
+
+
 def test_matrix_stores_a_tuple_of_exact_complex():
     class Sub(complex):
         pass

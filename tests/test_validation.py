@@ -90,6 +90,11 @@ def test_trial_config_validation():
     TrialConfig(trials=1, size=6, method=Method.TELESCOPE)
 
 
+def test_trial_config_refuses_a_method_that_is_not_a_member():
+    with pytest.raises(DomainError, match="method must be a Method, got 'closed'"):
+        TrialConfig(trials=3, size=5, method="closed")
+
+
 def test_run_trials_is_deterministic():
     cfg = TrialConfig(trials=60, size=3, seed=5, complex_entries=True)
     first = run_trials(cfg)

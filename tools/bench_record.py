@@ -6,13 +6,15 @@ RUNS_DIR is the `.perfbench_runs` directory that one or more
 `perfbench/run.py --trace 0` runs left at the root of a checkout. Every
 `<workload>-seed<N>-trace0.json` file in it is one run. The record holds,
 per workload, the seeds and the median and quartiles of each end-to-end
-metric over those runs, with the operations attempted and failed. It also
-holds the checkout's commit (`git rev-parse HEAD`), its `src/` line count,
-the Python version that wrote the record and whether that interpreter ran
-with bytecode writing off (`PYTHONDONTWRITEBYTECODE` or `-B`). perfbench's
-interpreters started from the same shell inherit that setting, and
-without a bytecode cache every `setup_s` sample compiles `src/` afresh.
-Standard library only.
+metric over those runs, next to each run's value keyed by its seed, with
+the operations attempted and failed. Two records whose runs share seeds
+pair run for run, so the pairs a change wins over its parent can be
+counted from them. The record also holds the checkout's commit (`git
+rev-parse HEAD`), its `src/` line count, the Python version that wrote
+the record and whether that interpreter ran with bytecode writing off
+(`PYTHONDONTWRITEBYTECODE` or `-B`). perfbench's interpreters started
+from the same shell inherit that setting, and without a bytecode cache
+every `setup_s` sample compiles `src/` afresh. Standard library only.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def summarise(runs_dir: Path, label: str) -> dict:
                 name: {
                     "unit": names[name]["unit"],
                     **_quartiles([r["metrics"][name]["value"] for r in results]),
+                    "by_seed": {str(seed): raw["result"]["metrics"][name]["value"] for seed, raw in seeded},
                 }
                 for name in names
             },
