@@ -16,7 +16,7 @@ from enum import Enum, unique
 from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, RepresentationMismatchError
+from .errors import DomainError, RepresentationMismatchError, _check_integer
 
 # Residual tolerances: the encodings only need to be exact after integer
 # rounding; the Bessel ones inherit the series evaluator's error.
@@ -63,8 +63,7 @@ def gamma_int(n: int) -> int:
     The function has poles at zero and every negative integer, so those
     arguments are domain errors rather than values.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"gamma_int expects an integer, got {n!r}")
+    _check_integer(n, "gamma_int argument")
     if n <= 0:
         raise DomainError(f"gamma_int is undefined for n <= 0, got {n}")
     return math.factorial(n - 1)

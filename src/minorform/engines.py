@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .discrete import ReprKind, _check_encoding
-from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
+from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError, _check_integer
 from .indices import survivor_map
 from .matrices import Matrix, minor_by_formula
 from .oracles import _LEIBNIZ_MAX, _entry_overflow, _finite, _finite_inverse
@@ -291,8 +291,8 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
     determinants telescoped, so one entry never costs a full inverse.
     DomainError names the entry if it overflows.
     """
-    a._check_index("row", p)
-    a._check_index("column", q)
+    _check_integer(p, "row index", 1, a.n)
+    _check_integer(q, "column index", 1, a.n)
     det = general_det(a)
     _guard_determinant(a, det)
     numer = _telescope_states(minor_by_formula(a, p, q))[-1]
@@ -337,7 +337,6 @@ def expand_terms(n: int) -> tuple[SignedTerm, ...]:
     in deterministic expansion order and their signs reproduce the
     permutation parities of the Leibniz sum.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"expansion needs an integer size, got {n!r}")
+    _check_integer(n, "expansion size")
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)
     return _column_terms(n, ReprKind.DIRECT)

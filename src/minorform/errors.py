@@ -2,7 +2,10 @@
 
 DomainError marks an operation undefined for its argument, and
 UnsupportedCombinationError one that the chosen engine does not cover.
-FrozenRecord is the base of the validated value types.
+FrozenRecord is the base of the validated value types. _check_integer is
+the one integer-argument rule: every size, count, index, depth, seed and
+stream index of the public API is an int, never a bool, within its bounds,
+or the call raises DomainError.
 """
 
 
@@ -43,6 +46,22 @@ class FrozenRecord:
 
 class DomainError(ValueError):
     """An argument lies outside the declared domain of an operation."""
+
+
+_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _check_integer(value, what: str, low: int | None = None, high: int | None = None) -> None:
+    """Raise DomainError unless value is an int, not a bool, within low..high.
+
+    Either bound may be None; with high None, low is None, 0 or 1, and the
+    message names the kind ("a positive integer"), else the range ("in 1..n").
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or value >= low) and (high is None or value <= high):
+            return
+    kind = _KINDS[low] if high is None else f"in {low}..{high}"
+    raise DomainError(f"{what} must be {kind}, got {value!r}")
 
 
 class SingularMatrixError(ArithmeticError):

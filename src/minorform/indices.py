@@ -11,7 +11,7 @@ step: minors, the expansion and the telescope schedule all read it.
 from __future__ import annotations
 
 from .discrete import ReprKind, _heav_gamma_extended, heav, repr_heav
-from .errors import DomainError, FrozenRecord
+from .errors import DomainError, FrozenRecord, _check_integer
 
 
 def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
@@ -22,15 +22,9 @@ def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
     falls back to the factorial-parity closure and other encodings raise
     DomainError, as does a t or r0 that is not a positive integer.
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise DomainError(f"minor position must be a positive integer, got {t!r}")
-    _check_deleted(r0)
+    _check_integer(t, "minor position", 1)
+    _check_integer(r0, "deleted index", 1)
     return _step(t, r0, repr_kind)
-
-
-def _check_deleted(r0: int) -> None:
-    if not isinstance(r0, int) or isinstance(r0, bool) or r0 < 1:
-        raise DomainError(f"deleted index must be a positive integer, got {r0!r}")
 
 
 def _step(t: int, r0: int, repr_kind: ReprKind) -> int:
@@ -49,7 +43,7 @@ def survivor_map(colmap: tuple[int, ...], s: int, repr_kind: ReprKind = ReprKind
     s is checked once, as kappa checks its deleted index; the positions
     are range integers and need no check.
     """
-    _check_deleted(s)
+    _check_integer(s, "deleted index", 1)
     return tuple(colmap[_step(t, s, repr_kind) - 1] for t in range(1, len(colmap)))
 
 
@@ -63,14 +57,12 @@ class IndexHistory(FrozenRecord):
     __slots__ = ("base", "chain")
 
     def __init__(self, base: int, chain: tuple[int, ...]):
-        if not isinstance(base, int) or isinstance(base, bool) or base < 1:
-            raise DomainError(f"base index must be a positive integer, got {base!r}")
+        _check_integer(base, "base index", 1)
         chain = tuple(chain)
         if not chain:
             raise DomainError("deletion chain must contain at least one index")
         for r in chain:
-            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-                raise DomainError(f"deleted indices must be positive integers, got {r!r}")
+            _check_integer(r, "deleted index", 1)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "chain", chain)
 
@@ -80,6 +72,7 @@ class IndexHistory(FrozenRecord):
 
 
 def _check_depth(k: int, hist: IndexHistory) -> None:
+    _check_integer(k, "depth")
     if k != hist.depth:
         raise DomainError(f"history carries {hist.depth} deletions, got depth {k}")
 

@@ -13,7 +13,7 @@ import json
 import math
 from functools import lru_cache
 
-from .errors import DomainError, FrozenRecord, ParseError
+from .errors import DomainError, FrozenRecord, ParseError, _check_integer
 from .indices import kappa
 from .rng import SplitMix64
 
@@ -42,8 +42,7 @@ class Matrix(FrozenRecord):
     __slots__ = ("n", "data")
 
     def __init__(self, n: int, data: tuple[complex, ...]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"matrix size must be a positive integer, got {n!r}")
+        _check_integer(n, "matrix size", 1)
         if len(data) != n * n:
             raise DomainError(f"expected {n * n} entries for a {n}x{n} matrix, got {len(data)}")
         if type(data) is not tuple or not all(type(v) is complex for v in data):
@@ -67,16 +66,12 @@ class Matrix(FrozenRecord):
 
     def entry(self, row: int, col: int) -> complex:
         """Entry at 1-based (row, col)."""
-        self._check_index("row", row)
-        self._check_index("column", col)
+        _check_integer(row, "row index", 1, self.n)
+        _check_integer(col, "column index", 1, self.n)
         return self.data[(row - 1) * self.n + (col - 1)]
 
     def rows(self) -> list[list[complex]]:
         return [list(self.data[i * self.n : (i + 1) * self.n]) for i in range(self.n)]
-
-    def _check_index(self, name: str, value: int) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= self.n:
-            raise DomainError(f"{name} index must be in 1..{self.n}, got {value!r}")
 
 
 def identity(n: int) -> Matrix:
@@ -87,8 +82,8 @@ def minor_by_deletion(a: Matrix, row: int, col: int) -> Matrix:
     """Minor matrix obtained by literally removing one row and one column."""
     if a.n < 2:
         raise DomainError("a 1x1 matrix has no minors")
-    a._check_index("row", row)
-    a._check_index("column", col)
+    _check_integer(row, "row index", 1, a.n)
+    _check_integer(col, "column index", 1, a.n)
     kept = [
         a.entry(r, c)
         for r in range(1, a.n + 1)
@@ -115,8 +110,8 @@ def minor_by_formula(a: Matrix, row: int, col: int) -> Matrix:
     """
     if a.n < 2:
         raise DomainError("a 1x1 matrix has no minors")
-    a._check_index("row", row)
-    a._check_index("column", col)
+    _check_integer(row, "row index", 1, a.n)
+    _check_integer(col, "column index", 1, a.n)
     data = a.data
     return Matrix(a.n - 1, tuple([data[o] for o in _minor_offsets(a.n, row, col)]))
 
@@ -127,8 +122,7 @@ def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:
     Entries are generated row-major, real part first; the imaginary draw is
     skipped (and left at zero) unless complex entries are requested.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"matrix size must be a positive integer, got {n!r}")
+    _check_integer(n, "matrix size", 1)
     gen = SplitMix64(seed)
     entries = []
     for _ in range(n * n):
@@ -144,8 +138,7 @@ def sparse_case(case_id: int, values) -> Matrix:
     Three fixed placement patterns; values is the per-row sequence of five
     nonzero scalars.
     """
-    if case_id not in SPARSE_PATTERNS:
-        raise DomainError(f"sparse case id must be 1, 2 or 3, got {case_id!r}")
+    _check_integer(case_id, "sparse case id", 1, len(SPARSE_PATTERNS))
     values = [_as_complex(v) for v in values]
     if len(values) != 5:
         raise DomainError(f"sparse cases take exactly 5 values, got {len(values)}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import _check_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -25,16 +25,11 @@ def _scramble(state: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-
-
 class SplitMix64:
     """splitmix64: state advances by the golden gamma, output is scrambled."""
 
     def __init__(self, seed: int):
-        _check_seed(seed)
+        _check_integer(seed, "seed")
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
@@ -57,6 +52,6 @@ def stream_seed(seed: int, index: int) -> int:
     Equals the (index+1)-th raw output of SplitMix64(seed), computed without
     advancing any shared state, so streams can be handed out in any order.
     """
-    if index < 0:
-        raise DomainError(f"stream index must be non-negative, got {index}")
+    _check_integer(seed, "seed")
+    _check_integer(index, "stream index", 0)
     return _scramble((seed + (index + 1) * _GOLDEN_GAMMA) & _MASK64)

@@ -22,10 +22,10 @@ from .engines import (
     closed_form_inverse,
     general_inverse,
 )
-from .errors import DomainError, FrozenRecord, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError
+from .errors import DomainError, FrozenRecord, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError, _check_integer
 from .matrices import Matrix, random_matrix, sparse_case, _format_float
 from .oracles import cofactor_inverse, gauss_inverse, leibniz_det
-from .rng import _check_seed, stream_seed
+from .rng import stream_seed
 
 BIN_WIDTH_DB = 2.0
 MSE_CLAMP_FLOOR = 1e-100
@@ -52,11 +52,11 @@ class TrialConfig(FrozenRecord):
         method: Method = Method.CLOSED_FORM,
         complex_entries: bool = False,
     ):
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {trials!r}")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise DomainError(f"size must be an integer, got {size!r}")
-        _check_seed(seed)
+        _check_integer(trials, "trials", 1)
+        _check_integer(size, "size")
+        _check_integer(seed, "seed")
+        if not isinstance(complex_entries, bool):
+            raise DomainError(f"complex_entries must be a bool, got {complex_entries!r}")
         if not 2 <= size <= GENERAL_SIZE_CAP:
             raise UnsupportedCombinationError(f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {size}")
         check_combination(size, method, ReprKind.DIRECT)
@@ -88,7 +88,7 @@ def mse(x: Matrix, y: Matrix) -> float:
     for xv, yv in zip(x.data, y.data):
         d = xv - yv
         total += d.real * d.real + d.imag * d.imag
-    return max(total / (x.n * x.n), 0.0)
+    return total / (x.n * x.n)
 
 
 def _db_score(value: float) -> float:

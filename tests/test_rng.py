@@ -27,7 +27,7 @@ def test_stream_seed_matches_skipped_outputs():
 
 
 def test_stream_seed_rejects_negative_index():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="stream index must be a non-negative integer, got -1"):
         stream_seed(0, -1)
 
 

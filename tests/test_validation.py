@@ -95,6 +95,11 @@ def test_trial_config_refuses_a_method_that_is_not_a_member():
         TrialConfig(trials=3, size=5, method="closed")
 
 
+def test_trial_config_refuses_complex_entries_that_is_not_a_bool():
+    with pytest.raises(DomainError, match="complex_entries must be a bool, got 'yes'"):
+        TrialConfig(trials=2, size=3, complex_entries="yes")
+
+
 def test_run_trials_is_deterministic():
     cfg = TrialConfig(trials=60, size=3, seed=5, complex_entries=True)
     first = run_trials(cfg)
