@@ -200,7 +200,7 @@ def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex
 def _row_max_product(a: Matrix) -> float:
     scale = 1.0
     for r in range(a.n):
-        scale *= max(abs(v) for v in a.data[r * a.n : (r + 1) * a.n])
+        scale *= max(map(abs, a.data[r * a.n : (r + 1) * a.n]))
     return scale
 
 
@@ -258,8 +258,9 @@ def _telescope_states(a: Matrix) -> list[complex]:
     A chain of first-row deletions leaves a minor named by the tuple of
     its k surviving columns, on the last k rows of `a`. One pass over the
     schedule evaluates each minor once, bit for bit as the recursion
-    `oracles.laplace_det`: sums start from 0j and skip zero pivots. The
-    last state's children are the n first-row minors, which
+    `oracles.laplace_det`: sums start from 0j and skip zero pivots, and
+    `-= term` is its `+= -term` exactly, as IEEE 754 defines x - y as x + (-y).
+    The last state's children are the n first-row minors, which
     `general_inverse` reads, those behind zero pivots included.
     """
     n, data = a.n, a.data
@@ -267,14 +268,17 @@ def _telescope_states(a: Matrix) -> list[complex]:
         return [data[0]]
     pairs, states = _telescope_schedule(n)
     v = [0j + data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
+    push = v.append
     for state in states:
         value = 0.0 + 0.0j
         for o, odd, child in state:
             pivot = data[o]
-            if pivot != 0:
-                term = pivot * v[child]
-                value += -term if odd else term
-        v.append(value)
+            if pivot:
+                if odd:
+                    value -= pivot * v[child]
+                else:
+                    value += pivot * v[child]
+        push(value)
     return v
 
 

@@ -45,11 +45,11 @@ class Matrix(FrozenRecord):
         _check_integer(n, "matrix size", 1)
         if len(data) != n * n:
             raise DomainError(f"expected {n * n} entries for a {n}x{n} matrix, got {len(data)}")
-        if type(data) is not tuple or not all(type(v) is complex for v in data):
+        if type(data) is not tuple or {*map(type, data)} != {complex}:
             data = tuple(_as_complex(v) for v in data)
-        for v in data:
-            if not cmath.isfinite(v):
-                raise DomainError(f"matrix entries must be finite, got {v!r}")
+        if not all(map(cmath.isfinite, data)):
+            bad = next(v for v in data if not cmath.isfinite(v))
+            raise DomainError(f"matrix entries must be finite, got {bad!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "data", data)
 
@@ -84,14 +84,15 @@ def minor_by_deletion(a: Matrix, row: int, col: int) -> Matrix:
         raise DomainError("a 1x1 matrix has no minors")
     _check_integer(row, "row index", 1, a.n)
     _check_integer(col, "column index", 1, a.n)
+    n, data = a.n, a.data
     kept = [
-        a.entry(r, c)
-        for r in range(1, a.n + 1)
+        data[(r - 1) * n + (c - 1)]
+        for r in range(1, n + 1)
         if r != row
-        for c in range(1, a.n + 1)
+        for c in range(1, n + 1)
         if c != col
     ]
-    return Matrix(a.n - 1, tuple(kept))
+    return Matrix(n - 1, tuple(kept))
 
 
 @lru_cache(maxsize=1024)

@@ -81,10 +81,10 @@ def leibniz_det(a: Matrix) -> complex:
 def laplace_det(a: Matrix) -> complex:
     """Determinant by recursive first-row expansion over deletion minors."""
     if a.n == 1:
-        return a.entry(1, 1)
+        return a.data[0]
     total = 0.0 + 0.0j
     for col in range(1, a.n + 1):
-        pivot = a.entry(1, col)
+        pivot = a.data[col - 1]
         if pivot == 0:
             continue
         term = pivot * laplace_det(minor_by_deletion(a, 1, col))
