@@ -1,9 +1,10 @@
 """Closed-form and telescoping engines against the ground-truth oracles."""
 
+import cmath
 import math
 import random
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -530,6 +531,53 @@ def test_first_row_minor_behind_a_zero_pivot_overflows_in_the_inverse(n):
         with pytest.raises(DomainError) as oracle:
             cofactor_inverse(a)
     assert str(telescoped.value) == str(oracle.value)
+
+
+def overflow_unread(n):
+    # the matrix of test_minors_behind_zero_pivots_may_overflow_unread
+    rows = [[0.0] * n for _ in range(n)]
+    for r in range(n - 2):
+        rows[r][r + 1] = 1.0
+    rows[n - 2][0] = rows[n - 2][n - 1] = 1.0
+    rows[n - 2][1] = rows[n - 1][2] = 1e200
+    rows[n - 1][n - 1] = complex(0.5, 1e200)
+    return Matrix.from_rows(rows)
+
+
+def overflow_behind_first_pivot(n):
+    # the matrix of test_first_row_minor_behind_a_zero_pivot_overflows_in_the_inverse
+    rows = [[float(r == c) for c in range(n)] for r in range(n)]
+    rows[0][:2] = [0.0, 1.0]
+    rows[1][:2] = [1.0, 1e200]
+    rows[2][2] = 1e200
+    return Matrix.from_rows(rows)
+
+
+def every_state_cases():
+    for n in range(2, 7):
+        for seed in range(3):
+            yield pytest.param(with_signed_zeros(n, 9900 + 10 * n + seed), False, id=f"n{n}-{seed}")
+    for n in (3, 5):
+        yield pytest.param(overflow_unread(n), True, id=f"unread-overflow-n{n}")
+        yield pytest.param(overflow_behind_first_pivot(n), True, id=f"first-pivot-overflow-n{n}")
+
+
+@pytest.mark.parametrize("a, overflows", every_state_cases())
+def test_every_telescope_state_is_its_blocks_laplace_det(a, overflows):
+    # state i names the i-th ascending column tuple of 2..n columns, by
+    # length; its value is the determinant of the last k rows of a on those
+    # k columns, bit for bit, including the states no determinant reads
+    from minorform.engines import _telescope_states
+
+    n = a.n
+    blocks = [cols for k in range(2, n + 1) for cols in combinations(range(1, n + 1), k)]
+    states = _telescope_states(a)
+    assert len(states) == len(blocks)
+    for cols, state in zip(blocks, states):
+        k = len(cols)
+        block = Matrix(k, tuple(a.entry(r, c) for r in range(n - k + 1, n + 1) for c in cols))
+        assert repr(state) == repr(laplace_det(block)), cols
+    assert overflows == any(not cmath.isfinite(state) for state in states)
 
 
 def test_telescope_schedule_is_built_once_per_size():

@@ -80,8 +80,33 @@ def test_matrix_stores_a_tuple_of_exact_complex():
     mixed = Matrix(2, (Sub(1, 2), 1, 2.5, True + 0j))
     assert [type(v) for v in mixed.data] == [complex] * 4
     assert mixed.data[0] == 1 + 2j
+    for data in ((Sub(1, 2), Sub(3), Sub(0, -4), Sub(5, 6)), [1, 2.5, -3, 4.0]):
+        stored = Matrix(2, data)
+        assert type(stored.data) is tuple and [type(v) for v in stored.data] == [complex] * 4
+        assert stored.data == tuple(complex(v) for v in data)
     with pytest.raises(DomainError, match="must be numbers"):
         Matrix(2, (float("inf"), "x", 1j, 1j))
+
+
+def test_matrix_names_its_first_non_finite_entry():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(DomainError, match=r"^matrix entries must be finite, got \(inf\+0j\)$"):
+        Matrix(2, (1, inf, nan, 2))
+    with pytest.raises(DomainError, match=r"^matrix entries must be finite, got \(nan\+0j\)$"):
+        Matrix(2, (1 + 0j, complex(nan, 0), complex(inf, 0), 2 + 0j))
+
+
+def test_matrix_names_a_non_finite_entry_after_finite_ones():
+    with pytest.raises(DomainError, match=r"^matrix entries must be finite, got \(1-infj\)$"):
+        Matrix(2, (1j, 2j, 3j, complex(1, -float("inf"))))
+    with pytest.raises(DomainError, match=r"^matrix entries must be finite, got \(nan\+0j\)$"):
+        Matrix(6, [1.0] * 35 + [float("nan")])
+
+
+def test_matrix_refuses_a_bool_entry():
+    for data in ((1j, True, 2j, 3j), (False,) * 4):
+        with pytest.raises(DomainError, match=rf"^entries must be numbers, got {data[1]}$"):
+            Matrix(2, data)
 
 
 def _step_one(z, shift):
