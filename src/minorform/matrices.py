@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DomainError, FrozenRecord, ParseError, _check_integer
 from .indices import kappa
@@ -37,7 +38,17 @@ def _as_complex(value) -> complex:
 
 
 class Matrix(FrozenRecord):
-    """Immutable n x n complex matrix stored row-major."""
+    """Immutable n x n complex matrix stored row-major.
+
+    `Matrix(n, data)` checks everything: n is a positive integer, data holds
+    n * n numbers, each is stored as an exact `complex` in a tuple, and each
+    is finite. `from_rows`, `identity`, `sparse_case`, `gauss_inverse` and
+    user code go through it. `Matrix._of_checked(n, data)` skips those scans
+    and is kept for callers whose entries hold by construction: minors
+    select a Matrix's own entries, Box-Muller normals are finite, the parser
+    has refused every non-finite number, and the inverse engines scan their
+    quotients themselves to name an overflowing entry.
+    """
 
     __slots__ = ("n", "data")
 
@@ -52,6 +63,14 @@ class Matrix(FrozenRecord):
             raise DomainError(f"matrix entries must be finite, got {bad!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _of_checked(cls, n: int, data: tuple[complex, ...]) -> "Matrix":
+        """The n x n Matrix of data, a tuple of n * n finite exact complex values; nothing is checked."""
+        m = object.__new__(cls)
+        _set_n(m, n)
+        _set_data(m, data)
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -74,12 +93,18 @@ class Matrix(FrozenRecord):
         return [list(self.data[i * self.n : (i + 1) * self.n]) for i in range(self.n)]
 
 
+_set_n, _set_data = Matrix.n.__set__, Matrix.data.__set__
+
+
 def identity(n: int) -> Matrix:
     return Matrix(n, tuple(1.0 + 0.0j if i == j else 0.0 + 0.0j for i in range(n) for j in range(n)))
 
 
 def minor_by_deletion(a: Matrix, row: int, col: int) -> Matrix:
-    """Minor matrix obtained by literally removing one row and one column."""
+    """Minor matrix obtained by literally removing one row and one column.
+
+    Its entries are a selection of `a`'s own checked data.
+    """
     if a.n < 2:
         raise DomainError("a 1x1 matrix has no minors")
     _check_integer(row, "row index", 1, a.n)
@@ -92,14 +117,20 @@ def minor_by_deletion(a: Matrix, row: int, col: int) -> Matrix:
         for c in range(1, n + 1)
         if c != col
     ]
-    return Matrix(n - 1, tuple(kept))
+    return Matrix._of_checked(n - 1, tuple(kept))
 
 
 @lru_cache(maxsize=1024)
-def _minor_offsets(n: int, row: int, col: int) -> tuple[int, ...]:
-    """Flat source offsets of the (row, col) minor of an n x n matrix, row-major."""
+def _minor_offsets(n: int, row: int, col: int) -> itemgetter:
+    """Reader of the flat source offsets of the (row, col) minor of an n x n matrix.
+
+    It returns the minor's entries row-major as a tuple, a 1-tuple at n = 2.
+    """
     cols = [kappa(s, col) - 1 for s in range(1, n)]
-    return tuple((kappa(r, row) - 1) * n + c for r in range(1, n) for c in cols)
+    offsets = [(kappa(r, row) - 1) * n + c for r in range(1, n) for c in cols]
+    if n == 2:
+        return itemgetter(slice(offsets[0], offsets[0] + 1))
+    return itemgetter(*offsets)
 
 
 def minor_by_formula(a: Matrix, row: int, col: int) -> Matrix:
@@ -107,14 +138,14 @@ def minor_by_formula(a: Matrix, row: int, col: int) -> Matrix:
 
     Entry (r, s) of the minor reads the source at row kappa(r, row) and
     column kappa(s, col): positions before the deleted line map to
-    themselves, later ones skip past it. Offsets are cached per (n, row, col).
+    themselves, later ones skip past it. Offsets are cached per (n, row, col),
+    and the entries are a selection of `a`'s own checked data.
     """
     if a.n < 2:
         raise DomainError("a 1x1 matrix has no minors")
     _check_integer(row, "row index", 1, a.n)
     _check_integer(col, "column index", 1, a.n)
-    data = a.data
-    return Matrix(a.n - 1, tuple([data[o] for o in _minor_offsets(a.n, row, col)]))
+    return Matrix._of_checked(a.n - 1, _minor_offsets(a.n, row, col)(a.data))
 
 
 def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:
@@ -122,15 +153,14 @@ def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:
 
     Entries are generated row-major, real part first; the imaginary draw is
     skipped (and left at zero) unless complex entries are requested.
+    Box-Muller normals are always finite, so the entries need no check.
     """
     _check_integer(n, "matrix size", 1)
     gen = SplitMix64(seed)
-    entries = []
-    for _ in range(n * n):
-        re = gen.next_normal()
-        im = gen.next_normal() if complex_entries else 0.0
-        entries.append(complex(re, im))
-    return Matrix(n, tuple(entries))
+    if complex_entries:
+        draws = gen.normals(2 * n * n)
+        return Matrix._of_checked(n, tuple(map(complex, draws[::2], draws[1::2])))
+    return Matrix._of_checked(n, tuple(map(complex, gen.normals(n * n))))
 
 
 def sparse_case(case_id: int, values) -> Matrix:
@@ -197,7 +227,8 @@ def parse_matrix(text: bytes | str) -> Matrix:
     """Parse the JSON matrix format; errors carry line/column when known.
 
     Layout: {"n": N, "re": [[...]], "im": [[...]]} with "im" optional
-    (missing means all-zero imaginary parts).
+    (missing means all-zero imaginary parts). Every number has passed
+    `_require_number`, so the entries are finite and need no second check.
     """
     if isinstance(text, bytes):
         try:
@@ -227,4 +258,4 @@ def parse_matrix(text: bytes | str) -> Matrix:
     data = tuple(
         complex(re_rows[i][j], im_rows[i][j]) for i in range(n) for j in range(n)
     )
-    return Matrix(n, data)
+    return Matrix._of_checked(n, data)

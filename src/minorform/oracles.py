@@ -39,12 +39,15 @@ def _entry_overflow(row: int, col: int, value: complex) -> DomainError:
 
 
 def _finite_inverse(n: int, entries: tuple[complex, ...]) -> Matrix:
-    """The inverse Matrix of these entries, or DomainError naming the first that overflowed."""
-    try:
-        return Matrix(n, entries)
-    except DomainError:
+    """The inverse Matrix of these entries, or DomainError naming the first that overflowed.
+
+    entries are the n * n complex quotients of an inverse engine. This scan
+    is their finiteness check, so the Matrix is built without another.
+    """
+    if not all(map(cmath.isfinite, entries)):
         k = next(k for k, v in enumerate(entries) if not cmath.isfinite(v))
-        raise _entry_overflow(k // n + 1, k % n + 1, entries[k]) from None
+        raise _entry_overflow(k // n + 1, k % n + 1, entries[k])
+    return Matrix._of_checked(n, entries)
 
 
 def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
@@ -55,8 +58,9 @@ def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
     column for the current row crosses k earlier choices, flipping the sign
     k times.
     """
-    if a.n > _LEIBNIZ_MAX:
-        raise UnsupportedCombinationError(f"permutation sum covers n <= {_LEIBNIZ_MAX}, got {a.n}")
+    n, data = a.n, a.data
+    if n > _LEIBNIZ_MAX:
+        raise UnsupportedCombinationError(f"permutation sum covers n <= {_LEIBNIZ_MAX}, got {n}")
 
     def recurse(row: int, remaining: list[int], sign: int, partial: complex):
         if not remaining:
@@ -67,10 +71,10 @@ def leibniz_terms(a: Matrix) -> Iterator[tuple[int, complex]]:
                 row + 1,
                 remaining[:k] + remaining[k + 1 :],
                 -sign if k & 1 else sign,
-                partial * a.entry(row, col),
+                partial * data[(row - 1) * n + col - 1],
             )
 
-    return recurse(1, list(range(1, a.n + 1)), 1, 1.0 + 0.0j)
+    return recurse(1, list(range(1, n + 1)), 1, 1.0 + 0.0j)
 
 
 def leibniz_det(a: Matrix) -> complex:

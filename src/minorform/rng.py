@@ -8,7 +8,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
+from math import cos, log, pi, sqrt
 
 from .errors import _check_integer
 
@@ -41,9 +41,25 @@ class SplitMix64:
         return ((self.next_uint64() >> 11) + 1) * 2.0**-53
 
     def next_normal(self) -> float:
-        u1 = self.next_unit()
-        u2 = (self.next_uint64() >> 11) * 2.0**-53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return self.normals(1)[0]
+
+    def normals(self, count: int) -> list[float]:
+        """The next count standard normals, two words each.
+
+        u1 is mapped as `next_unit` maps it, to (0, 1], so it is at least
+        2^-53 and every value is finite; u2 is mapped to [0, 1).
+        """
+        _check_integer(count, "normal count", 0)
+        state, out = self._state, []
+        push = out.append
+        for _ in range(count):
+            state = (state + _GOLDEN_GAMMA) & _MASK64
+            u1 = ((_scramble(state) >> 11) + 1) * 2.0**-53
+            state = (state + _GOLDEN_GAMMA) & _MASK64
+            u2 = (_scramble(state) >> 11) * 2.0**-53
+            push(sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2))
+        self._state = state
+        return out
 
 
 def stream_seed(seed: int, index: int) -> int:
