@@ -52,3 +52,29 @@ def test_normal_moments():
     assert abs(mean) < 0.05
     assert abs(var - 1.0) < 0.1
     assert all(math.isfinite(d) for d in draws)
+
+
+# frozen: the first normals of seed 0, as one next_normal() call at a time drew them
+SEED0_NORMALS = (-0.452757740217458, 2.650605812079669, -0.9886041246243269, 0.252462724150614)
+
+
+@pytest.mark.parametrize("seed", [0, 123, -5, 2**64 - 1, 2**70 + 3])
+def test_normals_are_successive_next_normal_draws(seed):
+    for count in (0, 1, 2, 7, 50):
+        one, many = SplitMix64(seed), SplitMix64(seed)
+        singles = [one.next_normal() for _ in range(count)]
+        assert list(map(repr, many.normals(count))) == list(map(repr, singles))
+        # and both generators stand at the same state afterwards
+        assert [many.next_uint64() for _ in range(3)] == [one.next_uint64() for _ in range(3)]
+
+
+def test_normals_of_seed_zero_are_frozen():
+    assert tuple(SplitMix64(0).normals(4)) == SEED0_NORMALS
+    gen = SplitMix64(0)
+    assert tuple(gen.next_normal() for _ in range(4)) == SEED0_NORMALS
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", -1], ids=repr)
+def test_normals_refuses_a_count_that_is_not_a_non_negative_integer(bad):
+    with pytest.raises(DomainError, match=f"normal count must be a non-negative integer, got {bad!r}"):
+        SplitMix64(0).normals(bad)

@@ -1,6 +1,7 @@
 """Summarise perfbench runs into a committed BENCH_<label>.json perf record.
 
     python3 tools/bench_record.py RUNS_DIR LABEL [--out DIR]
+    python3 tools/bench_record.py compare PARENT.json CHANGE.json [--benchmark FILE]
 
 RUNS_DIR is the `.perfbench_runs` directory that one or more
 `perfbench/run.py --trace 0` runs left at the root of a checkout. Every
@@ -14,7 +15,16 @@ rev-parse HEAD`), its `src/` line count, the Python version that wrote
 the record and whether that interpreter ran with bytecode writing off
 (`PYTHONDONTWRITEBYTECODE` or `-B`). perfbench's interpreters started
 from the same shell inherit that setting, and without a bytecode cache
-every `setup_s` sample compiles `src/` afresh. Standard library only.
+every `setup_s` sample compiles `src/` afresh.
+
+`compare` reads two such records, a parent's and a change's, and prints
+per workload and metric both medians and quartiles, the change in the
+median, the parent's interquartile range and the pairs the change won,
+runs matched by seed. A pair is won when the change's run is strictly
+better in the direction that the benchmark file (`BENCHMARK.json` at the
+repository root by default) gives the metric; a metric it does not list
+shows no wins. Each workload's failed share is printed for both sides.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -94,7 +104,80 @@ def summarise(runs_dir: Path, label: str) -> dict:
     }
 
 
+def _directions(benchmark: Path) -> dict[str, str]:
+    """metric name -> "higher" or "lower", the benchmark file's end-to-end `better`."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+
+
+def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
+    """Per workload both records hold: the failed shares and, per metric, the pairs won."""
+    out = {}
+    for workload in sorted(set(parent["workloads"]) & set(change["workloads"])):
+        old, new = parent["workloads"][workload], change["workloads"][workload]
+        metrics = {}
+        for name in old["metrics"]:
+            if name not in new["metrics"]:
+                continue
+            a, b = old["metrics"][name], new["metrics"][name]
+            seeds = sorted(set(a["by_seed"]) & set(b["by_seed"]), key=int)
+            direction = better.get(name)
+            if direction == "higher":
+                wins = sum(b["by_seed"][s] > a["by_seed"][s] for s in seeds)
+            elif direction == "lower":
+                wins = sum(b["by_seed"][s] < a["by_seed"][s] for s in seeds)
+            else:
+                wins = None
+            metrics[name] = {
+                "unit": a["unit"],
+                "better": direction,
+                "parent": [a["q1"], a["median"], a["q3"]],
+                "change": [b["q1"], b["median"], b["q3"]],
+                "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"] if a["median"] else None,
+                "parent_iqr": a["q3"] - a["q1"],
+                "wins": wins,
+                "pairs": len(seeds),
+            }
+        out[workload] = {
+            "failed": [[old["failed"], old["attempted"]], [new["failed"], new["attempted"]]],
+            "metrics": metrics,
+        }
+    return out
+
+
+def _format(comparison: dict) -> str:
+    lines = []
+    for workload, entry in comparison.items():
+        (f0, a0), (f1, a1) = entry["failed"]
+        lines.append(f"{workload}: failed {f0}/{a0} -> {f1}/{a1}")
+        lines.append(f"  {'metric':<16} {'parent median [q1-q3]':<30} {'change median [q1-q3]':<30} {'change':>8} {'parent IQR':>11} {'won':>6}")
+        for name, m in entry["metrics"].items():
+            old = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["parent"])
+            new = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["change"])
+            pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
+            won = "n/a" if m["wins"] is None else f"{m['wins']}/{m['pairs']}"
+            lines.append(f"  {name:<16} {old:<30} {new:<30} {pct:>8} {m['parent_iqr']:>11.4g} {won:>6}")
+    return "\n".join(lines)
+
+
+def _compare_main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="bench_record.py compare", description="Compare a change's perf record with its parent's.")
+    parser.add_argument("parent", type=Path, help="the parent's BENCH_*.json")
+    parser.add_argument("change", type=Path, help="the change's BENCH_*.json")
+    parser.add_argument(
+        "--benchmark", type=Path, default=Path(__file__).resolve().parents[1] / "BENCHMARK.json",
+        help="benchmark file naming each metric's better direction",
+    )
+    args = parser.parse_args(argv)
+    records = [json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)]
+    print(_format(compare(*records, _directions(args.benchmark))))
+    return 0
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["compare"]:
+        return _compare_main(argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("runs_dir", type=Path, help="a checkout's .perfbench_runs directory")
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
