@@ -113,12 +113,9 @@ def compare_output(tmp_path):
             (5, {"ops_per_s": 99.0, "latency_p50_ms": 0.1, "rss_mb": 6.0}, 0),
         ],
     })
-    benchmark = tmp_path / "BENCHMARK.json"
-    benchmark.write_text(json.dumps({"end_to_end": [
-        {"name": "ops_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"},
-    ]}))
+    # BENCHMARK.json gives ops_per_s "higher" and latency_p50_ms "lower", and lists no rss_mb
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "compare", str(parent), str(change), "--benchmark", str(benchmark)],
+        [sys.executable, str(SCRIPT), "compare", str(parent), str(change)],
         capture_output=True, text=True, check=True,
     )
     return {line.split()[0]: line.split() for line in done.stdout.splitlines()}
@@ -133,7 +130,7 @@ def test_compare_counts_the_pairs_won_by_seed_in_each_metrics_direction(tmp_path
     assert ops[-1] == "2/3"
     # a tie is not a win
     assert lines["latency_p50_ms"][-1] == "1/3"
-    # a metric the benchmark file does not list has no direction
+    # a metric BENCHMARK.json does not list has no direction
     assert lines["rss_mb"][-1] == "n/a"
 
 

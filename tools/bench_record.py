@@ -1,7 +1,7 @@
 """Summarise perfbench runs into a committed BENCH_<label>.json perf record.
 
     python3 tools/bench_record.py RUNS_DIR LABEL [--out DIR]
-    python3 tools/bench_record.py compare PARENT.json CHANGE.json [--benchmark FILE]
+    python3 tools/bench_record.py compare PARENT.json CHANGE.json
 
 RUNS_DIR is the `.perfbench_runs` directory that one or more
 `perfbench/run.py --trace 0` runs left at the root of a checkout. Every
@@ -21,9 +21,8 @@ every `setup_s` sample compiles `src/` afresh.
 per workload and metric both medians and quartiles, the change in the
 median, the parent's interquartile range and the pairs the change won,
 runs matched by seed. A pair is won when the change's run is strictly
-better in the direction that the benchmark file (`BENCHMARK.json` at the
-repository root by default) gives the metric; a metric it does not list
-shows no wins. Each workload's failed share is printed for both sides.
+better in the direction that `BENCHMARK.json` at the repository root
+gives the metric; a metric it does not list shows no wins. Each workload's failed share is printed for both sides.
 Standard library only.
 """
 
@@ -38,6 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json")
 
 
@@ -129,8 +129,6 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
             else:
                 wins = None
             metrics[name] = {
-                "unit": a["unit"],
-                "better": direction,
                 "parent": [a["q1"], a["median"], a["q3"]],
                 "change": [b["q1"], b["median"], b["q3"]],
                 "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"] if a["median"] else None,
@@ -164,13 +162,9 @@ def _compare_main(argv) -> int:
     parser = argparse.ArgumentParser(prog="bench_record.py compare", description="Compare a change's perf record with its parent's.")
     parser.add_argument("parent", type=Path, help="the parent's BENCH_*.json")
     parser.add_argument("change", type=Path, help="the change's BENCH_*.json")
-    parser.add_argument(
-        "--benchmark", type=Path, default=Path(__file__).resolve().parents[1] / "BENCHMARK.json",
-        help="benchmark file naming each metric's better direction",
-    )
     args = parser.parse_args(argv)
     records = [json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)]
-    print(_format(compare(*records, _directions(args.benchmark))))
+    print(_format(compare(*records, _directions(BENCHMARK))))
     return 0
 
 
