@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCombinationError,
 )
-from .matrices import Matrix, _format_float, parse_matrix, random_matrix, write_matrix
+from .matrices import Matrix, _format_float, minor_by_deletion, minor_by_formula, parse_matrix, random_matrix, write_matrix
 from .oracles import cofactor_inverse, leibniz_det, residual_max_abs
 from .validation import TrialConfig, histogram_csv, run_trials, sparse_suite, summary_json
 from .vector_apps import CurlInput, curl_components, scalar_triple
@@ -147,8 +147,6 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    from .matrices import minor_by_deletion, minor_by_formula
-
     a = parse_matrix(Path(args.input).read_bytes())
     extract = minor_by_deletion if args.by == "deletion" else minor_by_formula
     print(write_matrix(extract(a, args.row, args.col)).decode("ascii"))

@@ -1,6 +1,6 @@
 """Discrete generalized functions and their standard-function encodings.
 
-`kron` and `heav` are the normative integer definitions. The encodings
+`kron` and `heav` are the normative integer definitions, of int arguments only. The encodings
 rebuild the same 0/1 values out of ordinary functions (factorials,
 the Bessel function J0, a cosine, a Hermite polynomial), each valid on
 a bounded integer domain. An encoding is evaluated as a real number,
@@ -16,7 +16,7 @@ from enum import Enum, unique
 from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, RepresentationMismatchError, _check_integer
+from .errors import DomainError, RepresentationMismatchError, _as_complex, _check_integer
 
 # Residual tolerances: the encodings only need to be exact after integer
 # rounding; the Bessel ones inherit the series evaluator's error.
@@ -49,11 +49,13 @@ def _check_encoding(repr_kind: ReprKind) -> None:
 
 def kron(z: int) -> int:
     """Kronecker delta: 1 at z == 0, else 0."""
+    _check_integer(z, "kron argument")
     return 1 if z == 0 else 0
 
 
 def heav(z: int) -> int:
     """Discrete Heaviside step: 1 for z >= 0, else 0."""
+    _check_integer(z, "heav argument")
     return 1 if z >= 0 else 0
 
 
@@ -73,11 +75,13 @@ def bessel_j0(x: float) -> float:
     """J0 by truncated power series, certified on |x| <= 12.
 
     Sum of (-1)^m (x/2)^(2m) / (m!)^2 up to m = 40; at |x| = 12 the first
-    dropped term is below 1e-30, far under the 1e-10 accuracy target.
+    dropped term is below 1e-30, far under the 1e-10 accuracy target. x is
+    read by Matrix's number rule and must be real.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"bessel_j0 requires a finite argument, got {x!r}")
+    z = _as_complex(x, "bessel_j0 arguments")
+    if z.imag or not math.isfinite(z.real):
+        raise DomainError(f"bessel_j0 requires a finite real argument, got {x!r}")
+    x = z.real
     if abs(x) > _J0_MAX_ARGUMENT:
         raise DomainError(
             f"bessel_j0 truncation bound only certified on |x| <= {_J0_MAX_ARGUMENT}, got {x!r}"
@@ -267,6 +271,8 @@ def _round_step(raw: float, tolerance: float, where: str) -> int:
 
 def repr_delta(z: int, n: int, repr_kind: ReprKind) -> int:
     """Kronecker delta of (z - n) computed through the chosen encoding."""
+    _check_integer(z, "delta argument")
+    _check_integer(n, "delta shift")
     if repr_kind is ReprKind.DIRECT:
         return kron(z - n)
     return _evaluate_variant("delta", z, n, repr_kind)
@@ -274,6 +280,8 @@ def repr_delta(z: int, n: int, repr_kind: ReprKind) -> int:
 
 def repr_heav(z: int, p: int, repr_kind: ReprKind) -> int:
     """Heaviside step of (z - p) computed through the chosen encoding."""
+    _check_integer(z, "step argument")
+    _check_integer(p, "step shift")
     if repr_kind is ReprKind.DIRECT:
         return heav(z - p)
     return _evaluate_variant("heav", z, p, repr_kind)

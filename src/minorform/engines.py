@@ -1,27 +1,23 @@
 """Closed-form determinant and inverse engines.
 
-The determinant's expansion is the only term table. It comes from one
-survivor-map expansion along the first row: deleting position s of a
-column map leaves `indices.survivor_map(colmap, s)`, its step read through
-kappa and optionally a standard-function encoding. The n x n
-determinant table (n = 2..5) is that expansion as flat offsets, and the
-symbolic expansion is the same table as column tuples. The inverse tables
-are the det table's derivatives: by Jacobi's formula the cofactor of
-a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
-factor dropped. The general engine telescopes: it expands along the
-first row without building minor matrices, naming each nested minor by
-the tuple of columns it keeps (its rows are the last ones), whose children
-the same `survivor_map` gives. That column-set
-DAG is compiled once per size into a flat schedule of 2^n - n - 1 states,
-children first, evaluated in one pass up from the closed 2x2 forms.
+The determinant's first-row expansion is one DAG, stated once by
+`_telescope_schedule`: a nested minor is the ascending tuple of columns it
+keeps, on the last rows, and deleting position s leaves the child
+`indices.survivor_map(cols, s)`, its step read through kappa and optionally
+a standard-function encoding. The general engine evaluates the schedule's
+2^n - n - 1 states in numbers, one pass up from the closed 2x2 forms,
+without building minor matrices. The same pass read symbolically gives the
+products: the determinant table (n = 2..5) as flat offsets, the symbolic
+expansion as column tuples. The inverse tables are the det table's
+derivatives: by Jacobi's formula the cofactor of a[i, j] is
+d det / d a[i, j], the det products that hold a[i, j] with that factor dropped.
 
-The expansion per (size, encoding) is computed once and cached, and each
-closed-form table is compiled once into a shared-prefix product program
-that multiplies every distinct row prefix once. Products still start from
-1 + 0j and sums keep their term order, so results are bit for bit those of
-the flat sums. `check_combination`
-is the engines' one size check: a size, method or encoding an engine does
-not cover raises UnsupportedCombinationError.
+Schedules and tables are built once and cached, and each closed-form table
+is compiled once into a shared-prefix product program that multiplies every
+distinct row prefix once. Products still start from 1 + 0j and sums keep
+their term order, so results are bit for bit those of the flat sums.
+`check_combination` is the engines' one size check: a size, method or
+encoding an engine does not cover raises UnsupportedCombinationError.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ import warnings
 from enum import Enum, unique
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import NamedTuple
 
 from .discrete import ReprKind, _check_encoding
@@ -69,33 +66,49 @@ class SignedTerm(NamedTuple):
     columns: tuple[int, ...]
 
 
-def _expand(colmap: tuple[int, ...], sign: int, chosen: tuple[int, ...], repr_kind: ReprKind):
-    """Yield the SignedTerm of every product of the determinant over colmap.
+@lru_cache(maxsize=None)
+def _telescope_schedule(n: int, repr_kind: ReprKind = ReprKind.DIRECT):
+    """(pairs, states): every ascending tuple of 2..n columns, by length.
 
-    chosen holds the columns taken by the rows above and sign their parity.
-    Deleting position s leaves the child map `survivor_map(colmap, s)`, its
-    survivor step read through the encoding.
+    Position s of a tuple has the child `survivor_map(cols, s, repr_kind)`.
+    A pair is the offsets (p, q, r, s) of 0j + data[p] * data[q] - data[r] * data[s].
+    A k-column state lists (pivot offset of c on row n - k + 1, odd position,
+    child index) per column c in order.
     """
-    if len(colmap) == 1:
-        yield SignedTerm(sign, chosen + colmap)
-        return
-    for s in range(1, len(colmap) + 1):
-        child = survivor_map(colmap, s, repr_kind)
-        yield from _expand(child, sign if s % 2 else -sign, chosen + (colmap[s - 1],), repr_kind)
+    tuples = [cols for k in range(2, n + 1) for cols in combinations(range(1, n + 1), k)]
+    index = {cols: i for i, cols in enumerate(tuples)}
+    pairs, states = [], []
+    for cols in tuples:
+        row = (n - len(cols)) * n - 1
+        if len(cols) == 2:
+            (q,), (s,) = survivor_map(cols, 1, repr_kind), survivor_map(cols, 2, repr_kind)
+            pairs.append((row + cols[0], row + n + q, row + cols[1], row + n + s))
+        else:
+            states.append(tuple((row + c, s % 2 == 0, index[survivor_map(cols, s, repr_kind)]) for s, c in enumerate(cols, 1)))
+    return tuple(pairs), tuple(states)
+
+
+def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Signed flat-offset products of the n x n determinant, in expansion order.
+
+    `_telescope_schedule(n, repr_kind)` read bottom-up, as `_telescope_states`
+    reads it in numbers: a pair gives (1, (p, q)) and (-1, (r, s)); a state puts
+    each pivot offset in front of its child's products, flipping the sign at an
+    odd position. The last state's products are the table.
+    """
+    pairs, states = _telescope_schedule(n, repr_kind)
+    products = [((1, (p, q)), (-1, (r, s))) for p, q, r, s in pairs]
+    for state in states:
+        products.append(tuple(
+            (-sign if odd else sign, (o, *offsets)) for o, odd, child in state for sign, offsets in products[child]
+        ))
+    return products[-1]
 
 
 @lru_cache(maxsize=None)
 def _column_terms(n: int, repr_kind: ReprKind) -> tuple[SignedTerm, ...]:
     """Signed column tuples of the n x n determinant in expansion order."""
-    return tuple(_expand(tuple(range(1, n + 1)), 1, (), repr_kind))
-
-
-def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Signed flat-offset products of the n x n determinant."""
-    return tuple(
-        (sign, tuple(r * n + c - 1 for r, c in enumerate(columns)))
-        for sign, columns in _column_terms(n, repr_kind)
-    )
+    return tuple(SignedTerm(sign, tuple(o % n + 1 for o in offsets)) for sign, offsets in _det_terms(n, repr_kind))
 
 
 def _inverse_terms(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -197,18 +210,11 @@ def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex
     return _finite(_run(a.data, _det_program(a.n, repr_kind))[0])
 
 
-def _row_max_product(a: Matrix) -> float:
-    scale = 1.0
-    for r in range(a.n):
-        scale *= max(map(abs, a.data[r * a.n : (r + 1) * a.n]))
-    return scale
-
-
 def _guard_determinant(a: Matrix, det: complex) -> None:
     """Refuse a zero determinant and warn on a tiny one; det is already finite."""
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
-    if abs(det) < NEAR_SINGULAR_RELATIVE * _row_max_product(a):
+    if abs(det) < NEAR_SINGULAR_RELATIVE * prod(max(map(abs, row)) for row in a.rows()):
         warnings.warn(
             NearSingularWarning(
                 f"determinant magnitude {abs(det):.3e} is below the "
@@ -230,26 +236,6 @@ def closed_form_inverse(a: Matrix) -> Matrix:
     det = closed_form_det(a)
     _guard_determinant(a, det)
     return _finite_inverse(a.n, tuple(numer / det for numer in _run(a.data, _inverse_program(a.n))))
-
-
-@lru_cache(maxsize=None)
-def _telescope_schedule(n: int):
-    """(pairs, states): every ascending tuple of 2..n columns, by length.
-
-    A pair is the offsets (p, q, r, s) of 0j + data[p] * data[q] - data[r] * data[s].
-    A k-column state lists (pivot offset of c on row n - k + 1, odd position,
-    child index of `survivor_map` without c) per column c in order.
-    """
-    tuples = [cols for k in range(2, n + 1) for cols in combinations(range(1, n + 1), k)]
-    index = {cols: i for i, cols in enumerate(tuples)}
-    pairs, states = [], []
-    for cols in tuples:
-        row = (n - len(cols)) * n - 1
-        if len(cols) == 2:
-            pairs.append((row + cols[0], row + n + cols[1], row + cols[1], row + n + cols[0]))
-        else:
-            states.append(tuple((row + c, s % 2 == 0, index[survivor_map(cols, s)]) for s, c in enumerate(cols, 1)))
-    return tuple(pairs), tuple(states)
 
 
 def _telescope_states(a: Matrix) -> list[complex]:
@@ -336,9 +322,9 @@ def general_inverse(a: Matrix) -> Matrix:
 def expand_terms(n: int) -> tuple[SignedTerm, ...]:
     """Symbolic telescoping expansion of the n x n determinant.
 
-    The closed-form tables' own expansion along the first row, with each
-    minor's column map threaded through the survivor function. Terms arrive
-    in deterministic expansion order and their signs reproduce the
+    The telescope schedule's products as column tuples, the closed-form
+    tables' own expansion along the first row. Terms arrive in
+    deterministic expansion order and their signs reproduce the
     permutation parities of the Leibniz sum.
     """
     _check_integer(n, "expansion size")

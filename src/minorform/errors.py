@@ -5,7 +5,7 @@ UnsupportedCombinationError one that the chosen engine does not cover.
 FrozenRecord is the base of the validated value types. _check_integer is
 the one integer-argument rule: every size, count, index, depth, seed and
 stream index of the public API is an int, never a bool, within its bounds,
-or the call raises DomainError.
+or the call raises DomainError. _as_complex is the one number rule.
 """
 
 
@@ -62,6 +62,16 @@ def _check_integer(value, what: str, low: int | None = None, high: int | None = 
             return
     kind = _KINDS[low] if high is None else f"in {low}..{high}"
     raise DomainError(f"{what} must be {kind}, got {value!r}")
+
+
+def _as_complex(value, what: str = "entries") -> complex:
+    """value as a complex if it is an int (not a bool), float or complex within binary64 range, else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
+        raise DomainError(f"{what} must be numbers, got {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:  # an int beyond binary64 range
+        raise DomainError(f"{what} must be within floating-point range") from None
 
 
 class SingularMatrixError(ArithmeticError):

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import DomainError, FrozenRecord, ParseError, _check_integer
+from .errors import DomainError, FrozenRecord, ParseError, _as_complex, _check_integer
 from .indices import kappa
 from .rng import SplitMix64
 
@@ -26,15 +26,6 @@ SPARSE_PATTERNS: dict[int, tuple[int, ...]] = {
     2: (1, 2, 5, 3, 4),
     3: (2, 1, 3, 5, 4),
 }
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
-        raise DomainError(f"entries must be numbers, got {value!r}")
-    try:
-        return complex(value)
-    except OverflowError:  # an int beyond binary64 range
-        raise DomainError("entries must be within floating-point range") from None
 
 
 class Matrix(FrozenRecord):

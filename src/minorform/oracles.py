@@ -83,7 +83,11 @@ def leibniz_det(a: Matrix) -> complex:
 
 
 def laplace_det(a: Matrix) -> complex:
-    """Determinant by recursive first-row expansion over deletion minors."""
+    """Determinant by recursive first-row expansion over deletion minors.
+
+    Returned raw, inf and nan included, as the bitwise reference for every
+    telescope state; `leibniz_det` and `cofactor_inverse` raise instead.
+    """
     if a.n == 1:
         return a.data[0]
     total = 0.0 + 0.0j

@@ -81,14 +81,17 @@ class HistogramReport(NamedTuple):
 
 
 def mse(x: Matrix, y: Matrix) -> float:
-    """Mean squared entrywise error between two equal-size matrices."""
+    """Mean squared entrywise error between two equal-size matrices; DomainError if it overflows."""
     if x.n != y.n:
         raise DomainError("mse requires matrices of equal size")
     total = 0.0
     for xv, yv in zip(x.data, y.data):
         d = xv - yv
         total += d.real * d.real + d.imag * d.imag
-    return total / (x.n * x.n)
+    mean = total / (x.n * x.n)
+    if not math.isfinite(mean):
+        raise DomainError(f"mean squared error is {mean!r}: out of double range")
+    return mean
 
 
 def _db_score(value: float) -> float:

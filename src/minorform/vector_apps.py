@@ -12,8 +12,7 @@ import cmath
 import math
 
 from .discrete import gamma_int
-from .errors import DomainError, FrozenRecord
-from .matrices import _as_complex
+from .errors import DomainError, FrozenRecord, _as_complex
 
 Vec3 = tuple[complex, complex, complex]
 

@@ -89,8 +89,11 @@ def test_bessel_j0_is_even(x):
     assert bessel_j0(x) == bessel_j0(-x)
 
 
-@pytest.mark.parametrize("bad", [12.5, -13.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad", [12.5, -13.0, math.inf, math.nan, "3", True, 1j, None, pytest.param(10**400, id="10**400")]
+)
 def test_bessel_j0_domain(bad):
+    # the argument is read by Matrix's number rule and must be real
     with pytest.raises(DomainError):
         bessel_j0(bad)
 

@@ -1,5 +1,6 @@
 """The integer-argument rule: every size, count, index, depth, seed and
-stream index of the public API refuses a bool or any other non-int, even
+stream index of the public API, and the argument and shift of every
+discrete function, refuses a bool or any other non-int, even
 one equal to an int (True, 1.0), with DomainError."""
 
 import pytest
@@ -8,13 +9,16 @@ from minorform import (
     DomainError,
     IndexHistory,
     Matrix,
+    ReprKind,
     SplitMix64,
     TrialConfig,
     element_inverse,
     expand_terms,
     gamma_int,
+    heav,
     identity,
     kappa,
+    kron,
     minor_by_deletion,
     minor_by_formula,
     primed_index,
@@ -22,6 +26,8 @@ from minorform import (
     random_matrix,
     reflected_primed_index,
     reflected_primed_index_expanded,
+    repr_delta,
+    repr_heav,
     sparse_case,
     stream_seed,
 )
@@ -60,6 +66,12 @@ INTEGER_SLOTS = {
     "reflected_primed_index k": lambda v: reflected_primed_index(v, HIST),
     "reflected_primed_index_expanded k": lambda v: reflected_primed_index_expanded(v, HIST),
     "sparse_case id": lambda v: sparse_case(v, VALUES),
+    "kron z": lambda v: kron(v),
+    "heav z": lambda v: heav(v),
+    "repr_delta z": lambda v: repr_delta(v, 1, ReprKind.GAMMA),
+    "repr_delta n": lambda v: repr_delta(1, v, ReprKind.DIRECT),
+    "repr_heav z": lambda v: repr_heav(v, 2, ReprKind.DIRECT),
+    "repr_heav p": lambda v: repr_heav(1, v, ReprKind.GAMMA),
 }
 
 

@@ -162,6 +162,13 @@ def test_records_are_frozen_values(name):
         assert repr(a) == expected_repr
 
 
+def test_a_record_equals_no_other_type():
+    # equal field values, but another class: __eq__ defers, and identity decides
+    m = Matrix(1, (1 + 0j,))
+    assert m != (1, (1 + 0j,))
+    assert m != IndexHistory(1, (1,))
+
+
 def test_minor_by_deletion_shape_and_content():
     a = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     m = minor_by_deletion(a, 1, 1)
@@ -324,6 +331,7 @@ def test_parse_reports_line_and_column_for_bad_json():
     [
         b"[1, 2, 3]",  # not an object
         b'{"re": [[1]]}',  # n missing
+        b'{"n": 1}',  # re missing
         b'{"n": true, "re": [[1]]}',
         b'{"n": 0, "re": []}',
         b'{"n": 2, "re": [[1, 2], [3]]}',  # ragged

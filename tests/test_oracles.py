@@ -143,6 +143,11 @@ def test_residual_sums_each_entry_in_k_order_from_int_zero():
         assert repr(residual_max_abs(a, x)) == repr(reference)
 
 
+def test_residual_refuses_matrices_of_different_sizes():
+    with pytest.raises(DomainError, match="equal size"):
+        residual_max_abs(identity(2), identity(3))
+
+
 def test_residual_refuses_an_entry_that_is_not_finite():
     # (A X)[1][2] = 1e300 * -1e300 + 1e300 * 1e300 = -inf + inf
     a = Matrix.from_rows([[1e300, 1e300], [0, 1e-300]])

@@ -35,6 +35,12 @@ def test_mse_definition():
         mse(a, identity(3))
 
 
+def test_mse_refuses_a_mean_that_is_not_finite():
+    # (1e200 - -1e200)^2 overflows; an inf score would reach math.floor in the report
+    with pytest.raises(DomainError, match="mean squared error is inf"):
+        mse(Matrix.from_rows([[1e200]]), Matrix.from_rows([[-1e200]]))
+
+
 def test_db_score_clamps_tiny_values_to_the_floor():
     assert _db_score(0.0) == DB_FLOOR
     assert _db_score(MSE_CLAMP_FLOOR / 10) == DB_FLOOR

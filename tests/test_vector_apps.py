@@ -96,6 +96,8 @@ def test_curl_input_validation():
         CurlInput((1, 1, 1), ((0,) * 3,) * 2)
     with pytest.raises(DomainError):
         CurlInput((1, 1, 1), (("a",) * 3,) * 3)
+    with pytest.raises(DomainError, match="not numeric"):
+        CurlInput(5, ((0,) * 3,) * 3)  # not a sequence
     with pytest.raises(DomainError):
         CurlInput((1e-200, 1e-200, 1e-200), ((1,) * 3,) * 3)  # h1 h2 h3 underflows to 0
     with pytest.raises(DomainError):
@@ -115,6 +117,11 @@ def test_components_are_numbers_by_the_matrix_rule(bad):
         CurlInput((bad, 1, 1), ((0,) * 3,) * 3)
     with pytest.raises(DomainError, match="must be numbers"):
         CurlInput((1, 1, 1), ((bad, 0, 0), (0,) * 3, (0,) * 3))
+
+
+def test_scalar_triple_refuses_a_vector_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="not numeric"):
+        scalar_triple(5, (0, 1, 0), (0, 0, 1))
 
 
 def test_scale_factors_are_real():
