@@ -1,11 +1,11 @@
 """Discrete generalized functions and their standard-function encodings.
 
-`kron` and `heav` are the normative integer definitions, of int arguments only. The encodings
-rebuild the same 0/1 values out of ordinary functions (factorials,
-the Bessel function J0, a cosine, a Hermite polynomial), each valid on
-a bounded integer domain. An encoding is evaluated as a real number,
-rounded to the nearest integer, and rejected if the residual exceeds
-the evaluator tolerance.
+`kron` and `heav` are the normative integer definitions, of ints only.
+The encodings rebuild the same 0/1 values out of ordinary functions
+(factorials, the Bessel function J0, a cosine, a Hermite polynomial), each
+valid on a bounded integer domain. An encoding is evaluated as a real
+number, rounded to the nearest integer, and rejected if the residual
+exceeds the evaluator tolerance.
 """
 
 from __future__ import annotations

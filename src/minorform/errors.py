@@ -65,7 +65,7 @@ def _check_integer(value, what: str, low: int | None = None, high: int | None = 
 
 
 def _as_complex(value, what: str = "entries") -> complex:
-    """value as a complex if it is an int (not a bool), float or complex within binary64 range, else DomainError."""
+    """value as a complex: an int (not a bool), float or complex within binary64 range, else DomainError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
         raise DomainError(f"{what} must be numbers, got {value!r}")
     try:

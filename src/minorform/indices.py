@@ -5,7 +5,7 @@ reads source position kappa(t, r): positions before the cut keep their
 index, later ones skip past it. A chain of nested deletions therefore maps
 a final-level index back to the original matrix by composing kappa once
 per level, innermost deletion first. kappa is the one statement of the
-step: minors, the expansion and the telescope schedule all read it.
+step: minors and the telescope schedule, the expansion's one DAG, read it.
 """
 
 from __future__ import annotations
