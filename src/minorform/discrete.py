@@ -3,9 +3,10 @@
 `kron` and `heav` are the normative integer definitions, of ints only.
 The encodings rebuild the same 0/1 values out of ordinary functions
 (factorials, the Bessel function J0, a cosine, a Hermite polynomial), each
-valid on a bounded integer domain. An encoding is evaluated as a real
+valid on its declared integer domain. An encoding is evaluated as a real
 number, rounded to the nearest integer, and rejected if the residual
-exceeds the evaluator tolerance.
+exceeds the evaluator tolerance. `_survivor_heav` is the survivor step of
+`indices`: unchecked, and under gamma defined at every integer.
 """
 
 from __future__ import annotations
@@ -242,13 +243,14 @@ def _conformance_scan() -> dict:
     return {"checked": checked, "failures": failures, "unavailable": unavailable}
 
 
+def _declared_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> _Variant | None:
+    # the first match wins, so a bounded form is preferred over a general parity form
+    return next((v for v in _VARIANTS if v.kind == kind and v.repr_kind is repr_kind and v.member(z, shift)), None)
+
+
 def _evaluate_variant(kind: str, z: int, shift: int, repr_kind: ReprKind) -> int:
     _check_encoding(repr_kind)
-    # the first match wins, so a bounded form is preferred over a general parity form
-    variant = next(
-        (v for v in _VARIANTS if v.kind == kind and v.repr_kind is repr_kind and v.member(z, shift)),
-        None,
-    )
+    variant = _declared_variant(kind, z, shift, repr_kind)
     if variant is None:
         raise DomainError(
             f"({z=}, shift={shift}) is outside every declared {repr_kind.value} domain for {kind}"
@@ -287,17 +289,19 @@ def repr_heav(z: int, p: int, repr_kind: ReprKind) -> int:
     return _evaluate_variant("heav", z, p, repr_kind)
 
 
-def _heav_gamma_extended(x: int) -> int:
-    """Heaviside of any integer through factorial parities alone.
+def _survivor_heav(z: int, p: int, repr_kind: ReprKind) -> int:
+    """heav(z - p) through repr_kind on ints, unchecked: the survivor step of `indices`.
 
-    Shift/reflection closure of the two gamma step forms: arguments from -2
-    upward are the parity form at shift 2, anything lower the reflected form
-    at shift 4, whose factorial argument stays positive. Used by
-    `indices.kappa`, whose survivor steps in the determinant expansion
-    reach outside the public encoding domains.
+    Direct is heav's rule and an encoding its first declared form. Where no
+    gamma form covers (z, p), gamma is the shift/reflection closure of its
+    two step forms: x = z - p from -2 upward is the parity form at shift 2,
+    anything lower the reflected form at shift 4, whose factorial argument
+    stays positive. Other encodings raise as repr_heav does.
     """
-    if x >= -2:
-        value = _heav_gamma_parity(x + 2, 2)
-    else:
-        value = _heav_gamma_reflected(x + 4, 4)
+    if repr_kind is ReprKind.DIRECT:
+        return 1 if z >= p else 0
+    if repr_kind is not ReprKind.GAMMA or _declared_variant("heav", z, p, repr_kind):
+        return _evaluate_variant("heav", z, p, repr_kind)
+    x = z - p
+    value = _heav_gamma_parity(x + 2, 2) if x >= -2 else _heav_gamma_reflected(x + 4, 4)
     return _round_step(value, CLOSED_FORM_TOLERANCE, f"gamma step closure at {x}")

@@ -94,9 +94,10 @@ def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]]
     `_telescope_schedule(n, repr_kind)` read bottom-up, as `_telescope_states`
     reads it in numbers: a pair gives (1, (p, q)) and (-1, (r, s)); a state puts
     each pivot offset in front of its child's products, flipping the sign at an
-    odd position. The last state's products are the table.
+    odd position. The last state's products are the table. The direct schedule
+    is read under the telescope's own cache key, so each size has one.
     """
-    pairs, states = _telescope_schedule(n, repr_kind)
+    pairs, states = _telescope_schedule(n) if repr_kind is ReprKind.DIRECT else _telescope_schedule(n, repr_kind)
     products = [((1, (p, q)), (-1, (r, s))) for p, q, r, s in pairs]
     for state in states:
         products.append(tuple(

@@ -2,15 +2,15 @@
 
 When row/column `r` is deleted from a matrix, position `t` of the minor
 reads source position kappa(t, r): positions before the cut keep their
-index, later ones skip past it. A chain of nested deletions therefore maps
-a final-level index back to the original matrix by composing kappa once
-per level, innermost deletion first. kappa is the one statement of the
-step: minors and the telescope schedule, the expansion's one DAG, read it.
+index, later ones skip past it. Nested deletions compose kappa once per
+level, innermost first. kappa is the one statement of the step, which
+minors and the telescope schedule, the expansion's one DAG, read. Its unit
+step under any encoding is `discrete._survivor_heav`, which checks nothing.
 """
 
 from __future__ import annotations
 
-from .discrete import ReprKind, _heav_gamma_extended, heav, repr_heav
+from .discrete import ReprKind, _survivor_heav, heav
 from .errors import DomainError, FrozenRecord, _check_integer
 
 
@@ -18,9 +18,9 @@ def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
     """Source index read by minor position t after deleting index r0.
 
     kappa(t, r0) = t + 1 - heav(r0 - t - 1): t itself while t < r0, else t+1.
-    The step is repr_heav(r0, t + 1, repr_kind); outside its domains GAMMA
-    falls back to the factorial-parity closure and other encodings raise
-    DomainError, as does a t or r0 that is not a positive integer.
+    The step is `discrete._survivor_heav(r0, t + 1, repr_kind)`: GAMMA covers
+    every step, other encodings raise DomainError outside their domains, as
+    does a t or r0 that is not a positive integer.
     """
     _check_integer(t, "minor position", 1)
     _check_integer(r0, "deleted index", 1)
@@ -28,13 +28,7 @@ def kappa(t: int, r0: int, repr_kind: ReprKind = ReprKind.DIRECT) -> int:
 
 
 def _step(t: int, r0: int, repr_kind: ReprKind) -> int:
-    # kappa on checked arguments
-    try:
-        return t + 1 - repr_heav(r0, t + 1, repr_kind)
-    except DomainError:
-        if repr_kind is not ReprKind.GAMMA:
-            raise
-        return t + 1 - _heav_gamma_extended(r0 - t - 1)
+    return t + 1 - _survivor_heav(r0, t + 1, repr_kind)
 
 
 def survivor_map(colmap: tuple[int, ...], s: int, repr_kind: ReprKind = ReprKind.DIRECT) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ from minorform.discrete import (
     BESSEL_J0_FIRST_ZERO,
     HERMITE_HE2_FIRST_ZERO,
     _VARIANTS,
-    _heav_gamma_extended,
     _parity_sign,
+    _survivor_heav,
     hermite_he2,
 )
 
@@ -137,8 +137,9 @@ def test_gamma_heav_all_declared_windows():
 
 
 def test_gamma_heav_extended_closure_everywhere():
+    # no gamma step form declares shift 5, so every x here is the closure's
     for x in range(-12, 13):
-        assert _heav_gamma_extended(x) == heav(x)
+        assert _survivor_heav(x + 5, 5, ReprKind.GAMMA) == heav(x)
 
 
 @pytest.mark.parametrize(

@@ -594,6 +594,18 @@ def test_telescope_schedule_is_built_once_per_size():
     assert [offset for offset, _, _ in states[-1]] == list(range(6))
 
 
+def test_tables_and_telescope_share_one_schedule_per_size():
+    from minorform import engines
+
+    for cached in (engines._telescope_schedule, engines._det_program, engines._column_terms):
+        cached.cache_clear()
+    a = random_matrix(5, seed=55)
+    closed_form_det(a)
+    expand_terms(5)
+    general_det(a)
+    assert engines._telescope_schedule.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "rows, p, q, named",
     [

@@ -1,6 +1,7 @@
 """Survivor-index calculus: the fold, its reflection, and the branch sums."""
 
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from minorform import (
     reflected_primed_index,
     reflected_primed_index_expanded,
 )
+from minorform.errors import _check_integer
 from minorform.indices import survivor_map
 
 MAX_SOURCE_SIZE = 8
@@ -82,6 +84,29 @@ def test_survivor_map_reads_kappa_and_checks_s_on_every_map(repr_kind):
         for bad in (0, True, 1.0):
             with pytest.raises(DomainError, match="deleted index"):
                 survivor_map(short, bad, repr_kind)
+
+
+def test_survivor_steps_run_no_integer_checks(monkeypatch):
+    # a cold schedule checks each survivor_map's s once, and none of its steps
+    from minorform import discrete, engines, indices
+
+    checks, maps = [], []
+
+    def counted_check(value, what, *bounds):
+        checks.append(what)
+        return _check_integer(value, what, *bounds)
+
+    def counted_map(*args):
+        maps.append(args)
+        return survivor_map(*args)
+
+    monkeypatch.setattr(indices, "_check_integer", counted_check)
+    monkeypatch.setattr(discrete, "_check_integer", counted_check)
+    monkeypatch.setattr(engines, "survivor_map", counted_map)
+    engines._telescope_schedule.cache_clear()
+    engines._telescope_schedule(6)
+    assert len(maps) == sum(k * comb(6, k) for k in range(2, 7))
+    assert checks == ["deleted index"] * len(maps)
 
 
 def test_kappa_composition_order_matters():
