@@ -102,8 +102,18 @@ def hermite_he2(z: float) -> float:
 
 
 def _parity_sign(k: int) -> float:
-    """(-1)**k for any integer k, including huge factorial values."""
+    """(-1)**k for any integer k."""
     return -1.0 if k % 2 else 1.0
+
+
+def _gamma_parity_sign(m: int) -> float:
+    """(-1)**gamma_int(m) without the factorial: (m - 1)! is odd only at m = 1 and 2.
+
+    m <= 0 raises gamma_int's own DomainError.
+    """
+    if m <= 0:
+        gamma_int(m)
+    return -1.0 if m <= 2 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +136,7 @@ def _delta_gamma_factorial(z: int, n: int) -> float:
 
 def _delta_gamma_parity(z: int, n: int) -> float:
     # half the difference of consecutive factorial parities, shifted by n
-    return (_parity_sign(gamma_int(z - n + 3)) - _parity_sign(gamma_int(z - n + 2))) / 2.0
+    return (_gamma_parity_sign(z - n + 3) - _gamma_parity_sign(z - n + 2)) / 2.0
 
 
 def _delta_windowed(f: Callable[[float], float], z1: float, z: int, n: int) -> float:
@@ -144,12 +154,12 @@ def _heav_gamma_linear(z: int, p: int) -> float:
 
 
 def _heav_gamma_parity(z: int, p: int) -> float:
-    return (1.0 + _parity_sign(gamma_int(z - p + 3))) / 2.0
+    return (1.0 + _gamma_parity_sign(z - p + 3)) / 2.0
 
 
 def _heav_gamma_reflected(z: int, p: int) -> float:
     # reflected factorial-parity form; steps at p = 4 on z in {1..4}
-    return (1.0 - _parity_sign(gamma_int(6 - z))) / 2.0
+    return (1.0 - _gamma_parity_sign(6 - z)) / 2.0
 
 
 def _heav_windowed(f: Callable[[float], float], z1: float, z: int, p: int) -> float:

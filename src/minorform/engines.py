@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import warnings
+from collections.abc import Sequence
 from enum import Enum, unique
 from functools import lru_cache
 from itertools import combinations
@@ -239,7 +240,21 @@ def closed_form_inverse(a: Matrix) -> Matrix:
     return _finite_inverse(a.n, tuple(numer / det for numer in _run(a.data, _inverse_program(a.n))))
 
 
-def _telescope_states(a: Matrix) -> list[complex]:
+@lru_cache(maxsize=None)
+def _shared_prefix(n: int, r: int, s: int) -> tuple[int, ...]:
+    """Indices in the n x n pass of the states minor (r, s)'s pass shares with it.
+
+    A state is the determinant of the last k rows on its columns, so on the
+    n - r rows below row r the minor's states are the parent's states on
+    the same original columns. These are the parent's tuples of 2..n - r
+    columns without s, in the parent's order; dropping s keeps that order,
+    so the list is the minor's own schedule prefix.
+    """
+    tuples = (cols for k in range(2, n - r + 1) for cols in combinations(range(1, n + 1), k))
+    return tuple(i for i, cols in enumerate(tuples) if s not in cols)
+
+
+def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]:
     """Every state of `_telescope_schedule(a.n)` on `a`, the determinant last.
 
     A chain of first-row deletions leaves a minor named by the tuple of
@@ -249,14 +264,18 @@ def _telescope_states(a: Matrix) -> list[complex]:
     `-= term` is its `+= -term` exactly, as IEEE 754 defines x - y as x + (-y).
     The last state's children are the n first-row minors, which
     `general_inverse` reads, those behind zero pivots included.
+
+    `known` is empty or a prefix of the states that covers at least every
+    pair, such as a parent pass's states read through `_shared_prefix`; it
+    is copied and only the states after it are evaluated.
     """
     n, data = a.n, a.data
     if n == 1:
         return [data[0]]
     pairs, states = _telescope_schedule(n)
-    v = [0j + data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
+    v = list(known) or [0j + data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
     push = v.append
-    for state in states:
+    for state in states[len(v) - len(pairs) :]:
         value = 0.0 + 0.0j
         for o, odd, child in state:
             pivot = data[o]
@@ -278,15 +297,18 @@ def general_det(a: Matrix) -> complex:
 def element_inverse(a: Matrix, p: int, q: int) -> complex:
     """Single inverse entry: the (q, p) entry of the inverse of `a`.
 
-    Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a) with both
-    determinants telescoped, so one entry never costs a full inverse.
-    DomainError names the entry if it overflows.
+    Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a): one pass
+    over `a`, then the minor's pass from the states the two share, so one
+    entry never costs a full inverse. DomainError names the entry if it
+    overflows.
     """
     _check_integer(p, "row index", 1, a.n)
     _check_integer(q, "column index", 1, a.n)
-    det = general_det(a)
+    check_combination(a.n, Method.TELESCOPE, ReprKind.DIRECT)
+    v = _telescope_states(a)
+    det = _finite(v[-1])
     _guard_determinant(a, det)
-    numer = _telescope_states(minor_by_formula(a, p, q))[-1]
+    numer = _telescope_states(minor_by_formula(a, p, q), [v[i] for i in _shared_prefix(a.n, p, q)])[-1]
     value = (numer if (p + q) % 2 == 0 else -numer) / det
     if not cmath.isfinite(value):
         raise _entry_overflow(q, p, value)
@@ -298,7 +320,10 @@ def general_inverse(a: Matrix) -> Matrix:
 
     The determinant's own pass also holds the n first-row minors: the
     children of its last state, or at n = 2 the entries a[2][2] and a[2][1].
-    The other n^2 - n minors are extracted and telescoped one by one.
+    The other n^2 - n minors are extracted, and each one's pass starts from
+    the states on the rows below its deleted row, read off the determinant's
+    pass through `_shared_prefix`: a row-2 minor evaluates only its last
+    state, and the minors of the last two rows share none.
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)
@@ -313,7 +338,11 @@ def general_inverse(a: Matrix) -> Matrix:
     out = [0.0 + 0.0j] * (n * n)
     for r in range(1, n + 1):
         for s in range(1, n + 1):
-            numer = first_row[s - 1] if r == 1 else _telescope_states(minor_by_formula(a, r, s))[-1]
+            if r == 1:
+                numer = first_row[s - 1]
+            else:
+                known = [v[i] for i in _shared_prefix(n, r, s)] if r < n - 1 else ()
+                numer = _telescope_states(minor_by_formula(a, r, s), known)[-1]
             if (r + s) % 2:
                 numer = -numer
             out[(s - 1) * n + (r - 1)] = numer / det

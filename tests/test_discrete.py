@@ -20,6 +20,7 @@ from minorform.discrete import (
     BESSEL_J0_FIRST_ZERO,
     HERMITE_HE2_FIRST_ZERO,
     _VARIANTS,
+    _gamma_parity_sign,
     _parity_sign,
     _survivor_heav,
     hermite_he2,
@@ -140,6 +141,34 @@ def test_gamma_heav_extended_closure_everywhere():
     # no gamma step form declares shift 5, so every x here is the closure's
     for x in range(-12, 13):
         assert _survivor_heav(x + 5, 5, ReprKind.GAMMA) == heav(x)
+
+
+def test_gamma_parity_sign_is_the_factorials_parity():
+    for m in range(1, 301):
+        assert _gamma_parity_sign(m) == (-1) ** (gamma_int(m) % 2)
+    for bad in (0, -1, -7):
+        with pytest.raises(DomainError) as got:
+            _gamma_parity_sign(bad)
+        with pytest.raises(DomainError) as expected:
+            gamma_int(bad)
+        assert str(got.value) == str(expected.value)
+
+
+def test_gamma_parity_forms_compute_no_large_factorial(monkeypatch):
+    from minorform import discrete, kappa
+
+    real = discrete.gamma_int
+
+    def small_only(m):
+        if m > 20:
+            raise AssertionError(f"gamma_int({m}) computed")
+        return real(m)
+
+    monkeypatch.setattr(discrete, "gamma_int", small_only)
+    assert repr_heav(10**6, 2, ReprKind.GAMMA) == 1
+    assert repr_delta(10**6, 2, ReprKind.GAMMA) == 0
+    assert kappa(1, 10**6, ReprKind.GAMMA) == 1
+    assert kappa(10**6, 1, ReprKind.GAMMA) == 10**6 + 1  # the reflected closure
 
 
 @pytest.mark.parametrize(

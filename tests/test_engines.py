@@ -580,6 +580,90 @@ def test_every_telescope_state_is_its_blocks_laplace_det(a, overflows):
     assert overflows == any(not cmath.isfinite(state) for state in states)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_shared_prefix_is_the_minors_schedule_prefix_relabeled(n):
+    # minor (r, s) reads original column kappa(t, s) at its column t, so its
+    # tuples of 2..n - r columns, in its own schedule order, are these parent
+    # states, on the same last rows
+    from minorform.engines import _shared_prefix
+    from minorform.indices import kappa
+
+    parent = {cols: i for i, cols in enumerate(c for k in range(2, n + 1) for c in combinations(range(1, n + 1), k))}
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            minor = [cols for k in range(2, n - r + 1) for cols in combinations(range(1, n), k)]
+            assert _shared_prefix(n, r, s) == tuple(parent[tuple(kappa(t, s) for t in cols)] for cols in minor)
+
+
+def shared_pass_cases():
+    for k, rows in enumerate(SIGNED_ZERO_PIVOT_CASES):
+        yield pytest.param(Matrix.from_rows(rows), id=f"zero-pivots-{k}")
+    for n in (3, 5):
+        yield pytest.param(overflow_unread(n), id=f"unread-overflow-n{n}")
+    for n in range(2, 9):
+        yield pytest.param(with_signed_zeros(n, 9600 + n), id=f"signed-zeros-n{n}")
+        yield pytest.param(random_matrix(n, seed=9650 + n, complex_entries=n % 2 == 0), id=f"random-n{n}")
+
+
+@pytest.mark.parametrize("a", shared_pass_cases())
+def test_minor_passes_from_shared_states_are_the_unshared_passes(a):
+    # each cofactor is read off a pass that starts from the determinant
+    # pass's states; it must be the minor telescoped from scratch, bit for bit
+    from minorform.engines import _telescope_states
+
+    n = a.n
+    det = general_det(a)
+    expected = [[0j] * n for _ in range(n)]
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            numer = _telescope_states(minor_by_formula(a, r, s))[-1]
+            expected[s - 1][r - 1] = (numer if (r + s) % 2 == 0 else -numer) / det
+    entries = [v for row in expected for v in row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        if all(map(cmath.isfinite, entries)):
+            assert repr(general_inverse(a).data) == repr(tuple(entries))
+        else:
+            with pytest.raises(DomainError, match="overflowed"):
+                general_inverse(a)
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                value = expected[q - 1][p - 1]
+                if cmath.isfinite(value):
+                    assert repr(element_inverse(a, p, q)) == repr(value), (p, q)
+                else:
+                    with pytest.raises(DomainError, match="overflowed"):
+                        element_inverse(a, p, q)
+
+
+def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
+    import minorform.engines as engines
+
+    telescope = engines._telescope_states
+    passes = []
+
+    def recorded(a, known=()):
+        states = telescope(a, known)
+        passes.append((a.n, len(known), len(states)))
+        return states
+
+    monkeypatch.setattr(engines, "_telescope_states", recorded)
+    general_inverse(random_matrix(6, seed=66))
+    (parent, *minors) = passes
+    assert parent == (6, 0, 2**6 - 6 - 1) and len(minors) == 30
+    # row 2's minors come first, and each appends only its last state
+    assert [total - known for _, known, total in minors[:6]] == [1] * 6
+    products = pair_forms = 0
+    for m, known, _ in minors:
+        pairs, states = engines._telescope_schedule(m)
+        pair_forms += 0 if known else len(pairs)
+        products += sum(map(len, states[max(known - len(pairs), 0) :]))
+    assert (products, pair_forms) == (1170, 120)  # (1650, 300) with no state shared
+    passes.clear()
+    element_inverse(random_matrix(6, seed=66), 2, 5)
+    assert [(m, total - known) for m, known, total in passes] == [(6, 57), (5, 1)]
+
+
 def test_telescope_schedule_is_built_once_per_size():
     from minorform.engines import _telescope_schedule
 
