@@ -6,11 +6,14 @@ keeps, on the last rows, and deleting position s leaves the child
 `indices.survivor_map(cols, s)`, its step read through kappa and optionally
 a standard-function encoding. The general engine evaluates the schedule's
 2^n - n - 1 states in numbers, one pass up from the closed 2x2 forms,
-without building minor matrices. The same pass read symbolically gives the
-products: the determinant table (n = 2..5) as flat offsets, the symbolic
-expansion as column tuples. The inverse tables are the det table's
-derivatives: by Jacobi's formula the cofactor of a[i, j] is
-d det / d a[i, j], the det products that hold a[i, j] with that factor dropped.
+without building minor matrices. Its inverses extract each cofactor's
+minor and start the minor's pass from the states it shares with the
+determinant's pass: those on the rows below the deleted row. The same pass
+read symbolically gives the products: the determinant table (n = 2..5) as
+flat offsets, the symbolic expansion as column tuples. The inverse tables
+are the det table's derivatives: by Jacobi's formula the cofactor of
+a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
+factor dropped.
 
 Schedules and tables are built once and cached, and each closed-form table
 is compiled once into a shared-prefix product program that multiplies every
