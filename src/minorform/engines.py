@@ -6,9 +6,10 @@ keeps, on the last rows, and deleting position s leaves the child
 `indices.survivor_map(cols, s)`, its step read through kappa and optionally
 a standard-function encoding. The general engine evaluates the schedule's
 2^n - n - 1 states in numbers, one pass up from the closed 2x2 forms,
-without building minor matrices. Its inverses extract each cofactor's
-minor and start the minor's pass from the states it shares with the
-determinant's pass: those on the rows below the deleted row. The same pass
+without building minor matrices. Its inverses read the first-row minors
+off the determinant's pass; every other cofactor's minor is extracted, and
+its pass starts from the states it shares with the determinant's pass:
+those on the rows below the deleted row. The same pass
 read symbolically gives the products: the determinant table (n = 2..5) as
 flat offsets, the symbolic expansion as column tuples. The inverse tables
 are the det table's derivatives: by Jacobi's formula the cofactor of
@@ -16,9 +17,11 @@ a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
 factor dropped.
 
 Schedules and tables are built once and cached, and each closed-form table
-is compiled once into a shared-prefix product program that multiplies every
-distinct row prefix once. Products still start from 1 + 0j and sums keep
-their term order, so results are bit for bit those of the flat sums.
+is compiled once into a shared-prefix product program. It stores every
+distinct proper row prefix once, and each signed sum multiplies a term's
+prefix by its last factor as it adds it. Products still start from 1 + 0j
+and sums keep their term order, so results are bit for bit those of the
+flat sums.
 `check_combination` is the engines' one size check: a size, method or
 encoding an engine does not cover raises UnsupportedCombinationError.
 """
@@ -160,11 +163,13 @@ def check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
 
 
 def _compile(tables):
-    """(ops, sums): each distinct row prefix of the tables' products is a node.
+    """(ops, sums): each distinct proper row prefix of the tables' products is a node.
 
-    Node 0 is 1 + 0j and op (src, o) makes the next node v[src] * data[o], so
-    every product is formed left to right from 1 + 0j. Each table's sum lists
-    (positive, node) in its term order.
+    Node 0 is 1 + 0j and op (src, o) makes the next node v[src] * data[o].
+    Each table's sum lists (positive, node, o) in its term order, and the
+    sum forms that term's product v[node] * data[o] as it reads it, so every
+    product is still formed left to right from 1 + 0j and no full product
+    is stored.
     """
     nodes: dict[tuple[int, ...], int] = {(): 0}
     ops: list[tuple[int, int]] = []
@@ -173,12 +178,12 @@ def _compile(tables):
         terms = []
         for sign, offsets in table:
             node = 0
-            for k, o in enumerate(offsets, 1):
+            for k, o in enumerate(offsets[:-1], 1):
                 child = nodes.setdefault(offsets[:k], len(nodes))
                 if child > len(ops):
                     ops.append((node, o))
                 node = child
-            terms.append((sign > 0, node))
+            terms.append((sign > 0, node, offsets[-1]))
         sums.append(tuple(terms))
     return tuple(ops), tuple(sums)
 
@@ -194,7 +199,8 @@ def _inverse_program(n: int):
 
 
 def _run(data: tuple[complex, ...], program) -> list[complex]:
-    """Evaluate a compiled program: every node once, then each signed sum in order."""
+    """Evaluate a compiled program: every node once, then each signed sum in
+    order, each term's product v[node] * data[o] formed as it is added."""
     ops, sums = program
     v = [1.0 + 0.0j]
     push = v.append
@@ -203,8 +209,8 @@ def _run(data: tuple[complex, ...], program) -> list[complex]:
     out = []
     for terms in sums:
         total = 0.0 + 0.0j
-        for positive, i in terms:
-            total = total + v[i] if positive else total - v[i]
+        for positive, i, o in terms:
+            total = total + v[i] * data[o] if positive else total - v[i] * data[o]
         out.append(total)
     return out
 
@@ -265,8 +271,9 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     schedule evaluates each minor once, bit for bit as the recursion
     `oracles.laplace_det`: sums start from 0j and skip zero pivots, and
     `-= term` is its `+= -term` exactly, as IEEE 754 defines x - y as x + (-y).
-    The last state's children are the n first-row minors, which
-    `general_inverse` reads, those behind zero pivots included.
+    The last state's children are the n first-row minors, which the
+    inverses read through `_first_row_minors`, those behind zero pivots
+    included.
 
     `known` is empty or a prefix of the states that covers at least every
     pair, such as a parent pass's states read through `_shared_prefix`; it
@@ -291,6 +298,15 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     return v
 
 
+def _first_row_minors(a: Matrix, v: Sequence[complex]) -> Sequence[complex]:
+    """The n first-row minors of `a` off its pass `v`: the last state's
+    children, or at n = 2 the entries a[2][2] and a[2][1]."""
+    if a.n == 2:
+        return a.data[3], a.data[2]
+    _, states = _telescope_schedule(a.n)
+    return [v[child] for _, _, child in states[-1]]
+
+
 def general_det(a: Matrix) -> complex:
     """Determinant by telescoping first-row expansion (sizes 2..GENERAL_SIZE_CAP)."""
     check_combination(a.n, Method.TELESCOPE, ReprKind.DIRECT)
@@ -301,9 +317,9 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
     """Single inverse entry: the (q, p) entry of the inverse of `a`.
 
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a): one pass
-    over `a`, then the minor's pass from the states the two share, so one
-    entry never costs a full inverse. DomainError names the entry if it
-    overflows.
+    over `a`, which at p = 1 already holds the minor, else the minor's pass
+    from the states the two share, so one entry never costs a full inverse.
+    DomainError names the entry if it overflows.
     """
     _check_integer(p, "row index", 1, a.n)
     _check_integer(q, "column index", 1, a.n)
@@ -311,7 +327,10 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
     v = _telescope_states(a)
     det = _finite(v[-1])
     _guard_determinant(a, det)
-    numer = _telescope_states(minor_by_formula(a, p, q), [v[i] for i in _shared_prefix(a.n, p, q)])[-1]
+    if p == 1:
+        numer = _first_row_minors(a, v)[q - 1]
+    else:
+        numer = _telescope_states(minor_by_formula(a, p, q), [v[i] for i in _shared_prefix(a.n, p, q)])[-1]
     value = (numer if (p + q) % 2 == 0 else -numer) / det
     if not cmath.isfinite(value):
         raise _entry_overflow(q, p, value)
@@ -321,9 +340,8 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
 def general_inverse(a: Matrix) -> Matrix:
     """Full inverse from telescoped minor determinants (sizes 2..GENERAL_SIZE_CAP).
 
-    The determinant's own pass also holds the n first-row minors: the
-    children of its last state, or at n = 2 the entries a[2][2] and a[2][1].
-    The other n^2 - n minors are extracted, and each one's pass starts from
+    The determinant's own pass also holds the n first-row minors, read by
+    `_first_row_minors`. The other n^2 - n minors are extracted, and each one's pass starts from
     the states on the rows below its deleted row, read off the determinant's
     pass through `_shared_prefix`: a row-2 minor evaluates only its last
     state, and the minors of the last two rows share none.
@@ -333,11 +351,7 @@ def general_inverse(a: Matrix) -> Matrix:
     v = _telescope_states(a)
     det = _finite(v[-1])
     _guard_determinant(a, det)
-    if n == 2:
-        first_row = (a.data[3], a.data[2])
-    else:
-        _, states = _telescope_schedule(n)
-        first_row = [v[child] for _, _, child in states[-1]]
+    first_row = _first_row_minors(a, v)
     out = [0.0 + 0.0j] * (n * n)
     for r in range(1, n + 1):
         for s in range(1, n + 1):

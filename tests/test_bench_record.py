@@ -140,3 +140,74 @@ def test_compare_prints_both_medians_quartiles_the_change_and_the_parents_iqr(tm
     assert ops[1:] == ["25", "[17.5-32.5]", "25", "[17-48]", "+0.0%", "15", "2/3"]
     rss = compare_output(tmp_path / "again")["rss_mb"]
     assert rss[1:6] == ["5", "[5-5]", "6", "[6-6]", "+20.0%"]
+
+
+def verdicts(tmp_path, parent_runs, change_runs):
+    # {workload: {metric: verdict}} from compare's verdict lines
+    parent = record_of(tmp_path, "parent", parent_runs)
+    change = record_of(tmp_path, "change", change_runs)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "compare", str(parent), str(change)],
+        capture_output=True, text=True, check=True,
+    )
+    out = {}
+    for line in done.stdout.splitlines():
+        if not line.startswith(" "):
+            workload = out.setdefault(line.split(":")[0], {})
+        elif line.split()[0] == "verdict":
+            name, _, said = line.split(None, 1)[1].partition(": ")
+            workload[name] = said
+    return out
+
+
+def ten_runs(ops, latency):
+    return [(seed, {"ops_per_s": o, "latency_p50_ms": p, "rss_mb": 5.0}, 0) for seed, o, p in zip(range(1, 11), ops, latency)]
+
+
+STEADY_OPS = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
+STEADY_LATENCY = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, IQR 0.045
+WIDE_LATENCY = [0.5 + 0.1 * i for i in range(10)]  # median 0.95, IQR 0.45: wider than the 0.25 bound
+
+
+def test_compare_gives_each_listed_metric_a_verdict_against_its_bound(tmp_path):
+    said = verdicts(tmp_path, {
+        "gain": ten_runs(STEADY_OPS, STEADY_LATENCY),
+        "nine": ten_runs(STEADY_OPS, STEADY_LATENCY),
+        "eight": ten_runs(STEADY_OPS, WIDE_LATENCY),
+        "wide": ten_runs(STEADY_OPS, WIDE_LATENCY),
+    }, {
+        # every pair won, by more than the parent's IQR; latency unchanged
+        "gain": ten_runs([o + 20 for o in STEADY_OPS], STEADY_LATENCY),
+        # 9 of 10 pairs won is enough; latency 30% worse, its bound is 25%
+        "nine": ten_runs([o - 1 if i == 0 else o + 10 for i, o in enumerate(STEADY_OPS)], [1.3 * p for p in STEADY_LATENCY]),
+        # 8 of 10 is not; the wide latency is unresolved, as two pairs are lost
+        "eight": ten_runs(
+            [o - 1 if i < 2 else o + 10 for i, o in enumerate(STEADY_OPS)],
+            [p + 0.01 if i < 2 else p - 0.01 for i, p in enumerate(WIDE_LATENCY)],
+        ),
+        # every wide-latency pair won, by less than the IQR; ops 30% worse
+        "wide": ten_runs([0.7 * o for o in STEADY_OPS], [p - 0.01 for p in WIDE_LATENCY]),
+    })
+    # BENCHMARK.json lists no rss_mb, so it gets no verdict
+    assert said == {
+        "gain": {"ops_per_s": "gain", "latency_p50_ms": "within bound"},
+        "nine": {"ops_per_s": "gain", "latency_p50_ms": "worse"},
+        "eight": {"ops_per_s": "within bound", "latency_p50_ms": "unresolved"},
+        "wide": {"ops_per_s": "worse", "latency_p50_ms": "within bound"},
+    }
+
+
+def test_a_worse_median_beyond_the_bound_is_worse_even_when_unresolved(tmp_path):
+    said = verdicts(
+        tmp_path,
+        {"w": ten_runs(STEADY_OPS, WIDE_LATENCY)},
+        {"w": ten_runs(STEADY_OPS, [p + 0.3 for p in WIDE_LATENCY])},
+    )
+    assert said == {"w": {"ops_per_s": "within bound", "latency_p50_ms": "worse"}}
+
+
+def test_compare_reads_the_benchmark_file_and_never_writes_it(tmp_path):
+    benchmark = SCRIPT.parents[1] / "BENCHMARK.json"
+    before = benchmark.read_bytes(), benchmark.stat().st_mtime_ns
+    verdicts(tmp_path, {"w": ten_runs(STEADY_OPS, STEADY_LATENCY)}, {"w": ten_runs(STEADY_OPS, STEADY_LATENCY)})
+    assert (benchmark.read_bytes(), benchmark.stat().st_mtime_ns) == before

@@ -408,8 +408,30 @@ def test_closed_forms_are_the_flat_sums_bit_for_bit(n):
 def test_programs_multiply_each_row_prefix_once():
     from minorform.engines import _det_program, _inverse_program
 
-    counts = [(len(_det_program(n, ReprKind.DIRECT)[0]), len(_inverse_program(n)[0])) for n in (2, 3, 4, 5)]
-    assert counts == [(4, 4), (15, 24), (64, 140), (325, 910)]
+    programs = [(_det_program(n, ReprKind.DIRECT), _inverse_program(n)) for n in (2, 3, 4, 5)]
+    # only proper row prefixes are stored: each full product is formed in its sum
+    assert [tuple(len(ops) for ops, _ in pair) for pair in programs] == [(2, 0), (9, 6), (40, 44), (205, 310)]
+    # a stored node and a sum term are one multiplication each
+    multiplications = [tuple(len(ops) + sum(map(len, sums)) for ops, sums in pair) for pair in programs]
+    assert multiplications == [(4, 4), (15, 24), (64, 140), (325, 910)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_inverse_reads_the_public_det_once(monkeypatch, n):
+    # perfbench traces the public name, so each inverse must call it exactly once
+    import minorform.engines as engines
+
+    calls = []
+
+    def counted(a, *args):
+        calls.append(a)
+        return closed_form_det(a, *args)
+
+    monkeypatch.setattr(engines, "closed_form_det", counted)
+    a = random_matrix(n, seed=70 + n)
+    for k in range(1, 4):
+        engines.closed_form_inverse(a)
+        assert calls == [a] * k
 
 
 ZERO_PIVOT_CASES = [
@@ -458,6 +480,11 @@ def test_telescope_extracts_only_first_level_minors(monkeypatch):
     assert calls == []
     element_inverse(a, 2, 5)
     assert calls == [(6, 2, 5)]
+    calls.clear()
+    # row 1's minor is read off the determinant pass as well
+    for q in range(1, 7):
+        element_inverse(a, 1, q)
+    assert calls == []
 
 
 SIGNED_ZERO_PIVOT_CASES = [
@@ -662,6 +689,9 @@ def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
     passes.clear()
     element_inverse(random_matrix(6, seed=66), 2, 5)
     assert [(m, total - known) for m, known, total in passes] == [(6, 57), (5, 1)]
+    passes.clear()
+    element_inverse(random_matrix(6, seed=66), 1, 3)
+    assert [(m, total - known) for m, known, total in passes] == [(6, 57)]
 
 
 def test_telescope_schedule_is_built_once_per_size():

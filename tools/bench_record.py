@@ -22,8 +22,19 @@ per workload and metric both medians and quartiles, the change in the
 median, the parent's interquartile range and the pairs the change won,
 runs matched by seed. A pair is won when the change's run is strictly
 better in the direction that `BENCHMARK.json` at the repository root
-gives the metric; a metric it does not list shows no wins. Each workload's failed share is printed for both sides.
-Standard library only.
+gives the metric; a metric it does not list shows no wins and no
+verdict. Each workload's failed share is printed for both sides, and
+each metric gets a verdict line, read against the metric's relative
+`bound` in `BENCHMARK.json`, the first that holds of:
+
+- `gain`: the change won at least 9 in 10 of the pairs, and its median is
+  better by more than the parent's interquartile range;
+- `worse`: the median is worse by more than the bound;
+- `unresolved`: the parent's interquartile range is wider than the bound,
+  and the change did not win every pair;
+- `within bound`.
+
+`BENCHMARK.json` is only read. Standard library only.
 """
 
 from __future__ import annotations
@@ -104,14 +115,26 @@ def summarise(runs_dir: Path, label: str) -> dict:
     }
 
 
-def _directions(benchmark: Path) -> dict[str, str]:
-    """metric name -> "higher" or "lower", the benchmark file's end-to-end `better`."""
+def _end_to_end(benchmark: Path) -> dict[str, dict]:
+    """metric name -> its end-to-end entry in the benchmark file: `better` and `bound`."""
     spec = json.loads(benchmark.read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
-def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
-    """Per workload both records hold: the failed shares and, per metric, the pairs won."""
+def verdict(old: float, iqr: float, new: float, wins: int, pairs: int, better: str, bound: float) -> str:
+    """A metric's verdict from the parent's median and IQR, the change's median and the pairs won."""
+    gained = new - old if better == "higher" else old - new
+    if pairs and 10 * wins >= 9 * pairs and gained > iqr:
+        return "gain"
+    if -gained > bound * abs(old):
+        return "worse"
+    if iqr > bound * abs(old) and wins < pairs:
+        return "unresolved"
+    return "within bound"
+
+
+def compare(parent: dict, change: dict, end_to_end: dict[str, dict]) -> dict:
+    """Per workload both records hold: the failed shares and, per metric, the pairs won and the verdict."""
     out = {}
     for workload in sorted(set(parent["workloads"]) & set(change["workloads"])):
         old, new = parent["workloads"][workload], change["workloads"][workload]
@@ -121,20 +144,25 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
                 continue
             a, b = old["metrics"][name], new["metrics"][name]
             seeds = sorted(set(a["by_seed"]) & set(b["by_seed"]), key=int)
-            direction = better.get(name)
+            spec = end_to_end.get(name, {})
+            direction = spec.get("better")
             if direction == "higher":
                 wins = sum(b["by_seed"][s] > a["by_seed"][s] for s in seeds)
             elif direction == "lower":
                 wins = sum(b["by_seed"][s] < a["by_seed"][s] for s in seeds)
             else:
                 wins = None
+            iqr = a["q3"] - a["q1"]
             metrics[name] = {
                 "parent": [a["q1"], a["median"], a["q3"]],
                 "change": [b["q1"], b["median"], b["q3"]],
                 "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"] if a["median"] else None,
-                "parent_iqr": a["q3"] - a["q1"],
+                "parent_iqr": iqr,
                 "wins": wins,
                 "pairs": len(seeds),
+                "verdict": None if wins is None else verdict(
+                    a["median"], iqr, b["median"], wins, len(seeds), direction, spec["bound"]
+                ),
             }
         out[workload] = {
             "failed": [[old["failed"], old["attempted"]], [new["failed"], new["attempted"]]],
@@ -155,6 +183,9 @@ def _format(comparison: dict) -> str:
             pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
             won = "n/a" if m["wins"] is None else f"{m['wins']}/{m['pairs']}"
             lines.append(f"  {name:<16} {old:<30} {new:<30} {pct:>8} {m['parent_iqr']:>11.4g} {won:>6}")
+        for name, m in entry["metrics"].items():
+            if m["verdict"] is not None:
+                lines.append(f"  verdict {name}: {m['verdict']}")
     return "\n".join(lines)
 
 
@@ -164,7 +195,7 @@ def _compare_main(argv) -> int:
     parser.add_argument("change", type=Path, help="the change's BENCH_*.json")
     args = parser.parse_args(argv)
     records = [json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)]
-    print(_format(compare(*records, _directions(BENCHMARK))))
+    print(_format(compare(*records, _end_to_end(BENCHMARK))))
     return 0
 
 
