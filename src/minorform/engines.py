@@ -199,8 +199,10 @@ def _inverse_program(n: int):
 
 
 def _run(data: tuple[complex, ...], program) -> list[complex]:
-    """Evaluate a compiled program: every node once, then each signed sum in
-    order, each term's product v[node] * data[o] formed as it is added."""
+    """Evaluate a compiled program: every node once, then each signed sum in order.
+
+    A term's product v[node] * data[o] is formed as its sum adds it.
+    """
     ops, sums = program
     v = [1.0 + 0.0j]
     push = v.append
@@ -341,10 +343,11 @@ def general_inverse(a: Matrix) -> Matrix:
     """Full inverse from telescoped minor determinants (sizes 2..GENERAL_SIZE_CAP).
 
     The determinant's own pass also holds the n first-row minors, read by
-    `_first_row_minors`. The other n^2 - n minors are extracted, and each one's pass starts from
-    the states on the rows below its deleted row, read off the determinant's
-    pass through `_shared_prefix`: a row-2 minor evaluates only its last
-    state, and the minors of the last two rows share none.
+    `_first_row_minors`. The other n^2 - n minors are extracted, and each
+    one's pass starts from the states on the rows below its deleted row,
+    read off the determinant's pass through `_shared_prefix`: a row-2 minor
+    evaluates only its last state, and the minors of the last two rows share
+    none.
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)

@@ -161,7 +161,8 @@ def verdicts(tmp_path, parent_runs, change_runs):
 
 
 def ten_runs(ops, latency):
-    return [(seed, {"ops_per_s": o, "latency_p50_ms": p, "rss_mb": 5.0}, 0) for seed, o, p in zip(range(1, 11), ops, latency)]
+    runs = zip(range(1, 11), ops, latency)
+    return [(seed, {"ops_per_s": o, "latency_p50_ms": p, "rss_mb": 5.0}, 0) for seed, o, p in runs]
 
 
 STEADY_OPS = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
@@ -179,7 +180,9 @@ def test_compare_gives_each_listed_metric_a_verdict_against_its_bound(tmp_path):
         # every pair won, by more than the parent's IQR; latency unchanged
         "gain": ten_runs([o + 20 for o in STEADY_OPS], STEADY_LATENCY),
         # 9 of 10 pairs won is enough; latency 30% worse, its bound is 25%
-        "nine": ten_runs([o - 1 if i == 0 else o + 10 for i, o in enumerate(STEADY_OPS)], [1.3 * p for p in STEADY_LATENCY]),
+        "nine": ten_runs(
+            [o - 1 if i == 0 else o + 10 for i, o in enumerate(STEADY_OPS)], [1.3 * p for p in STEADY_LATENCY]
+        ),
         # 8 of 10 is not; the wide latency is unresolved, as two pairs are lost
         "eight": ten_runs(
             [o - 1 if i < 2 else o + 10 for i, o in enumerate(STEADY_OPS)],

@@ -121,7 +121,7 @@ def _end_to_end(benchmark: Path) -> dict[str, dict]:
     return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
-def verdict(old: float, iqr: float, new: float, wins: int, pairs: int, better: str, bound: float) -> str:
+def _verdict(old: float, iqr: float, new: float, wins: int, pairs: int, better: str, bound: float) -> str:
     """A metric's verdict from the parent's median and IQR, the change's median and the pairs won."""
     gained = new - old if better == "higher" else old - new
     if pairs and 10 * wins >= 9 * pairs and gained > iqr:
@@ -160,7 +160,7 @@ def compare(parent: dict, change: dict, end_to_end: dict[str, dict]) -> dict:
                 "parent_iqr": iqr,
                 "wins": wins,
                 "pairs": len(seeds),
-                "verdict": None if wins is None else verdict(
+                "verdict": None if wins is None else _verdict(
                     a["median"], iqr, b["median"], wins, len(seeds), direction, spec["bound"]
                 ),
             }
