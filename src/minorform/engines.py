@@ -19,9 +19,14 @@ factor dropped.
 Schedules and tables are built once and cached, and each closed-form table
 is compiled once into a shared-prefix product program. It stores every
 distinct proper row prefix once, and each signed sum multiplies a term's
-prefix by its last factor as it adds it. Products still start from 1 + 0j
-and sums keep their term order, so results are bit for bit those of the
-flat sums.
+prefix by its last factor as it adds it. Each program runs as a
+straight-line Python function, built once from its offsets: one statement
+per stored prefix, one expression per signed sum. Products still start
+from 1 + 0j and sums keep their term order, so results are bit for bit
+those of the flat sums. The inverse has one program per size, for the
+last row's cofactors over the rows above it: run on the matrix without
+row i, it gives row i's cofactors, with every sign flipped where
+n - 1 - i is odd.
 `check_combination` is the engines' one size check: a size, method or
 encoding an engine does not cover raises UnsupportedCombinationError.
 """
@@ -41,7 +46,7 @@ from .discrete import ReprKind, _check_encoding
 from .errors import DomainError, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError, _check_integer
 from .indices import survivor_map
 from .matrices import Matrix, minor_by_formula
-from .oracles import _LEIBNIZ_MAX, _entry_overflow, _finite, _finite_inverse
+from .oracles import _LEIBNIZ_MAX, _entry_overflow, _finite, _finite_inverse, _modulus
 
 CLOSED_FORM_SIZES = (2, 3, 4, 5)
 GENERAL_SIZE_CAP = 8
@@ -169,7 +174,7 @@ def _compile(tables):
     Each table's sum lists (positive, node, o) in its term order, and the
     sum forms that term's product v[node] * data[o] as it reads it, so every
     product is still formed left to right from 1 + 0j and no full product
-    is stored.
+    is stored. `_kernel` turns the program into the function that runs it.
     """
     nodes: dict[tuple[int, ...], int] = {(): 0}
     ops: list[tuple[int, int]] = []
@@ -195,42 +200,81 @@ def _det_program(n: int, repr_kind: ReprKind):
 
 @lru_cache(maxsize=None)
 def _inverse_program(n: int):
-    return _compile(_inverse_terms(n))
+    """The last-row cofactors of the n x n determinant, over its first n - 1 rows.
+
+    The cofactors of row i are these on the matrix without row i, its other
+    rows kept in order: the same products of the same entries in the same
+    order, and the same signs where n - 1 - i is even.
+    """
+    return _compile(_inverse_terms(n)[n - 1 :: n])
 
 
-def _run(data: tuple[complex, ...], program) -> list[complex]:
-    """Evaluate a compiled program: every node once, then each signed sum in order.
+def _kernel(program, flip: bool = False):
+    """A compiled program as one straight-line function of the flat data.
 
-    A term's product v[node] * data[o] is formed as its sum adds it.
+    The function unpacks d0, d1, ... = data, up to the largest offset the
+    sums read, makes each node in order as `vK = vS * dO`, with node 0 the
+    constant (1+0j), and returns the tuple of signed sums, each one
+    expression `0j + vI * dO - vJ * dP ...`. Python evaluates that as
+    `((0j + vI * dO) - vJ * dP) ...`: the same operations on the same
+    operands in the same order as reading the program term by term, so
+    every bit is kept. flip swaps every sign; negating the results instead
+    would change signed zeros. The source is built from integer offsets
+    alone, never from a value.
     """
     ops, sums = program
-    v = [1.0 + 0.0j]
-    push = v.append
-    for src, o in ops:
-        push(v[src] * data[o])
-    out = []
-    for terms in sums:
-        total = 0.0 + 0.0j
-        for positive, i, o in terms:
-            total = total + v[i] * data[o] if positive else total - v[i] * data[o]
-        out.append(total)
-    return out
+    width = 1 + max(o for terms in sums for _, _, o in terms)
+    value = ["(1+0j)", *(f"v{k}" for k in range(1, len(ops) + 1))]
+    lines = ["def kernel(data):", f"    {', '.join(f'd{o}' for o in range(width))} = data"]
+    lines += [f"    v{k} = {value[src]} * d{o}" for k, (src, o) in enumerate(ops, 1)]
+    add, sub = (" - ", " + ") if flip else (" + ", " - ")
+    lines.append("    return (")
+    lines += [
+        "        0j" + "".join(f"{add if positive else sub}{value[i]} * d{o}" for positive, i, o in terms) + ","
+        for terms in sums
+    ]
+    lines.append("    )")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<closed-form kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@lru_cache(maxsize=None)
+def _det_kernel(n: int, repr_kind: ReprKind):
+    return _kernel(_det_program(n, repr_kind))
+
+
+@lru_cache(maxsize=None)
+def _cofactor_kernels(n: int):
+    """The cofactor-row kernels of size n: signs as stored, then every sign flipped.
+
+    Row i's cofactors are the stored ones where n - 1 - i is even, as
+    `_inverse_program` says, and the flipped ones where it is odd.
+    """
+    return _kernel(_inverse_program(n)), _kernel(_inverse_program(n), flip=True)
 
 
 def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex:
     """Determinant by the unrolled closed-form sum (sizes 2..5)."""
     check_combination(a.n, Method.CLOSED_FORM, repr_kind)
-    return _finite(_run(a.data, _det_program(a.n, repr_kind))[0])
+    return _finite(_det_kernel(a.n, repr_kind)(a.data)[0])
 
 
 def _guard_determinant(a: Matrix, det: complex) -> None:
-    """Refuse a zero determinant and warn on a tiny one; det is already finite."""
+    """Refuse a zero determinant and warn on a tiny one; det is already finite.
+
+    A modulus beyond double range, where abs raises, reads as inf.
+    """
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
-    if abs(det) < NEAR_SINGULAR_RELATIVE * prod(max(map(abs, row)) for row in a.rows()):
+    try:
+        size, scale = abs(det), prod(max(map(abs, row)) for row in a.rows())
+    except OverflowError:
+        size, scale = _modulus(det), prod(max(map(_modulus, row)) for row in a.rows())
+    if size < NEAR_SINGULAR_RELATIVE * scale:
         warnings.warn(
             NearSingularWarning(
-                f"determinant magnitude {abs(det):.3e} is below the "
+                f"determinant magnitude {size:.3e} is below the "
                 f"scale-relative trust threshold; entries may be inaccurate"
             ),
             stacklevel=3,
@@ -242,13 +286,18 @@ def closed_form_inverse(a: Matrix) -> Matrix:
 
     `closed_form_det` checks the size, and the determinant is read through
     that public name, so whatever wraps it sees every closed-form
-    determinant. The encoding parameter is deliberately absent: every
-    allowed encoding expands to the direct columns, so the numerators read
-    the direct det table. DomainError names an entry that overflows.
+    determinant. Row i's n cofactors, inverse column i, come from one
+    cofactor-row kernel run on the entries without row i. The encoding
+    parameter is deliberately absent: every allowed encoding expands to the
+    direct columns, so the numerators read the direct det table. DomainError
+    names an entry that overflows.
     """
     det = closed_form_det(a)
     _guard_determinant(a, det)
-    return _finite_inverse(a.n, tuple(numer / det for numer in _run(a.data, _inverse_program(a.n))))
+    n, data = a.n, a.data
+    kernels = _cofactor_kernels(n)
+    columns = [kernels[(n - 1 - i) % 2](data[: i * n] + data[(i + 1) * n :]) for i in range(n)]
+    return _finite_inverse(n, tuple(numer / det for row in zip(*columns) for numer in row))
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ immutable and every operation returns a new value.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from functools import lru_cache
 from operator import itemgetter
@@ -221,6 +220,8 @@ def parse_matrix(text: bytes | str) -> Matrix:
     (missing means all-zero imaginary parts). Every number has passed
     `_require_number`, so the entries are finite and need no second check.
     """
+    import json  # here, not at module level: only the parser reads it, and it slows `import minorform`
+
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")

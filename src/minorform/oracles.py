@@ -11,6 +11,7 @@ home of `check_combination`, imports this module.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, SingularMatrixError, UnsupportedCombinationError
@@ -28,6 +29,18 @@ def _finite(det: complex) -> complex:
     if not cmath.isfinite(det):
         raise DomainError(f"determinant {det!r} is not finite; entries are out of range")
     return det
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where abs raises because |z| is beyond double range.
+
+    abs raises OverflowError on finite parts whose hypot overflows; reading
+    that modulus as inf is what an overflowing float product gives.
+    """
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _entry_overflow(row: int, col: int, value: complex) -> DomainError:
@@ -120,8 +133,9 @@ def cofactor_inverse(a: Matrix) -> Matrix:
 def residual_max_abs(a: Matrix, x: Matrix) -> float:
     """max |(A X - I)_{rc}|, the worst-entry inversion defect.
 
-    DomainError names the first entry of A X - I that is not finite, so an
-    overflow never hides behind the max.
+    DomainError names the first entry of A X - I that is not finite or
+    whose modulus is beyond double range, so an overflow never hides behind
+    the max.
     """
     if a.n != x.n:
         raise DomainError("residual requires matrices of equal size")
@@ -133,9 +147,10 @@ def residual_max_abs(a: Matrix, x: Matrix) -> float:
             acc = sum(p * q for p, q in zip(row, column))
             if r == c:
                 acc -= 1.0
-            if not cmath.isfinite(acc):
+            size = _modulus(acc)
+            if not size < math.inf:
                 raise DomainError(f"residual entry ({r + 1}, {c + 1}) of A X - I is {acc!r}: out of double range")
-            worst = max(worst, abs(acc))
+            worst = max(worst, size)
     return worst
 
 
@@ -149,7 +164,10 @@ def gauss_inverse(a: Matrix) -> GaussResult:
     n = a.n
     aug = [row + [1.0 + 0.0j if r == c else 0.0 + 0.0j for c in range(n)] for r, row in enumerate(a.rows())]
     for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
+        try:
+            pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
+        except OverflowError:
+            pivot_row = max(range(k, n), key=lambda r: _modulus(aug[r][k]))
         if aug[pivot_row][k] == 0:
             raise SingularMatrixError(f"no usable pivot in column {k + 1}")
         if pivot_row != k:

@@ -298,6 +298,15 @@ def test_the_cli_imports_from_the_standard_library_alone():
     assert done.stdout == "[]\n"
 
 
+def test_importing_the_package_leaves_json_unimported():
+    # only parse_matrix reads JSON, and it imports json itself; json with its
+    # decoder, scanner and encoder was a measurable share of the import
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import minorform; print('json' in sys.modules)"
+    src = Path(minorform.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "det", "--help")[0] == 0
@@ -490,6 +499,17 @@ def test_overflowing_inverse_entry_is_named_not_blamed_on_the_input(capsys, tmp_
     assert out == ""
     assert err.startswith("error: inverse entry (2, 2) overflowed")
     assert "matrix entries must be finite" not in err
+
+
+@pytest.mark.parametrize("method", ["closed", "telescope", "oracle"])
+def test_a_modulus_beyond_double_range_exits_3(capsys, tmp_path, method):
+    # abs() of the finite (1, 1) entry raises OverflowError; entry (2, 2) overflows
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[1.5e308, 0], [0, 1e-308]], "im": [[1.5e308, 0], [0, 0]]}')
+    code, out, err = run_cli(capsys, "invert", "--input", str(path), "--method", method)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: inverse entry (2, 2) overflowed") and "Traceback" not in err
 
 
 # nan, both infinities, subnormals, values near the overflow edge and ordinary ones

@@ -405,15 +405,114 @@ def test_closed_forms_are_the_flat_sums_bit_for_bit(n):
     assert negative_zeros > 0  # the draws do reach signed zeros
 
 
+# a few extreme parts among plain ones: products overflow, underflow and
+# cancel to signed zeros, while some determinants stay finite
+EXTREME_PARTS = (1e300, -1e300, 1e200, 1e-300)
+PLAIN_PARTS = (1.0, -2.5, 0.0, -0.0)
+
+
+def with_extreme_parts(n, pick):
+    parts = [pick.choice(PLAIN_PARTS) for _ in range(2 * n * n)]
+    for k in pick.sample(range(2 * n * n), pick.randint(1, 4)):
+        parts[k] = pick.choice(EXTREME_PARTS)
+    return Matrix(n, tuple(map(complex, parts[::2], parts[1::2])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_forms_are_the_flat_sums_where_products_overflow(n):
+    # each closed form equals its flat sum under repr, or raises DomainError
+    # exactly where that sum, or the first flat-sum quotient, is not finite
+    from minorform.engines import Method, check_combination
+
+    encodings = [ReprKind.DIRECT]
+    for repr_kind in ENCODED:
+        try:
+            check_combination(n, Method.CLOSED_FORM, repr_kind)
+            encodings.append(repr_kind)
+        except UnsupportedCombinationError:
+            pass
+    pick = random.Random(4300 + n)
+    seen = {"det": 0, "det raised": 0, "inverse": 0, "inverse raised": 0}
+    for _ in range(100):
+        a = with_extreme_parts(n, pick)
+        det = flat_signed_sum(a, expansion_order(n))
+        for repr_kind in encodings:
+            if cmath.isfinite(det):
+                assert repr(closed_form_det(a, repr_kind)) == repr(det)
+            else:
+                with pytest.raises(DomainError, match="not finite"):
+                    closed_form_det(a, repr_kind)
+        if not cmath.isfinite(det):
+            seen["det raised"] += 1
+            continue
+        seen["det"] += 1
+        if det == 0:
+            continue
+        expected = []
+        for r in range(1, n + 1):
+            for c in range(1, n + 1):
+                flip = 1 if (r + c) % 2 == 0 else -1
+                terms = [(flip * sign, columns) for sign, columns in expansion_order(n - 1)]
+                expected.append(flat_signed_sum(minor_by_deletion(a, c, r), terms) / det)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearSingularWarning)
+            if all(map(cmath.isfinite, expected)):
+                assert repr(closed_form_inverse(a).data) == repr(tuple(expected))
+                seen["inverse"] += 1
+            else:
+                k = next(k for k, v in enumerate(expected) if not cmath.isfinite(v))
+                with pytest.raises(DomainError, match=rf"inverse entry \({k // n + 1}, {k % n + 1}\) overflowed"):
+                    closed_form_inverse(a)
+                seen["inverse raised"] += 1
+    if n == 2:  # a 2x2 cofactor is one entry, and no quotient of these draws leaves double range
+        del seen["inverse raised"]
+    assert min(seen.values()) > 0, seen
+
+
 def test_programs_multiply_each_row_prefix_once():
     from minorform.engines import _det_program, _inverse_program
 
     programs = [(_det_program(n, ReprKind.DIRECT), _inverse_program(n)) for n in (2, 3, 4, 5)]
-    # only proper row prefixes are stored: each full product is formed in its sum
-    assert [tuple(len(ops) for ops, _ in pair) for pair in programs] == [(2, 0), (9, 6), (40, 44), (205, 310)]
+    # only proper row prefixes are stored: each full product is formed in its sum;
+    # the inverse program is one cofactor row, the n - 1 rows above the last
+    assert [tuple(len(ops) for ops, _ in pair) for pair in programs] == [(2, 0), (9, 3), (40, 16), (205, 85)]
     # a stored node and a sum term are one multiplication each
     multiplications = [tuple(len(ops) + sum(map(len, sums)) for ops, sums in pair) for pair in programs]
-    assert multiplications == [(4, 4), (15, 24), (64, 140), (325, 910)]
+    assert multiplications == [(4, 2), (15, 9), (64, 40), (325, 205)]
+    # an inverse runs the cofactor-row program once per row
+    assert [n * inverse for n, (_, inverse) in zip((2, 3, 4, 5), multiplications)] == [4, 27, 160, 1025]
+
+
+def test_each_kernel_is_compiled_once(monkeypatch):
+    import builtins
+
+    import minorform.engines as engines
+
+    compiled = []
+
+    def counted(source, *args):
+        compiled.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(engines, "compile", counted, raising=False)
+    engines._det_kernel.cache_clear()
+    engines._cofactor_kernels.cache_clear()
+    encodings = 0
+    for _ in range(3):
+        for n in (2, 3, 4, 5):
+            a = random_matrix(n, seed=80 + n)
+            closed_form_inverse(a)
+            for repr_kind in [ReprKind.DIRECT, *ENCODED]:
+                try:
+                    closed_form_det(a, repr_kind)
+                except UnsupportedCombinationError:
+                    continue
+                encodings += 1
+    assert encodings == 3 * 11  # direct and gamma at n = 2..5, the three window encodings at n = 3
+    # one det kernel per (n, encoding), two cofactor-row kernels per n
+    assert len(compiled) == 11 + 2 * 4
+    assert engines._det_kernel.cache_info().currsize == 11
+    assert engines._cofactor_kernels.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -737,6 +836,31 @@ def test_element_inverse_names_an_overflowing_entry(rows, p, q, named):
         element_inverse(a, p, q)
     with pytest.raises(DomainError, match=message):
         general_inverse(a)
+
+
+# finite parts whose modulus, hypot(1.5e308, 1.5e308), is beyond double range
+WIDE_MODULUS = [[1.5e308 + 1.5e308j, 0], [0, 1e-308]]
+
+
+@pytest.mark.parametrize(
+    "invert",
+    [closed_form_inverse, general_inverse, lambda a: element_inverse(a, 2, 2), cofactor_inverse],
+    ids=["closed", "general", "element", "cofactor"],
+)
+def test_a_modulus_beyond_double_range_names_the_overflowing_entry(invert):
+    # abs() of the (1, 1) entry raises OverflowError; the row maxima read it
+    # as inf, and the quotient for entry (2, 2) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        with pytest.raises(DomainError, match=r"inverse entry \(2, 2\) overflowed"):
+            invert(Matrix.from_rows(WIDE_MODULUS))
+
+
+def test_element_inverse_returns_an_entry_beside_a_modulus_beyond_double_range():
+    a = Matrix.from_rows(WIDE_MODULUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        assert element_inverse(a, 1, 1) == a.entry(2, 2) / general_det(a)
 
 
 @pytest.mark.parametrize(

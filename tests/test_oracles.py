@@ -163,3 +163,19 @@ def test_oracles_raise_on_an_overflowing_determinant(oracle):
     big = Matrix.from_rows([[1e70 if r == c else 0 for c in range(5)] for r in range(5)])
     with pytest.raises(DomainError, match="not finite"):
         oracle(big)
+
+
+def test_a_modulus_beyond_double_range_is_a_value_or_a_domain_error():
+    # hypot(1.5e308, 1.5e308) overflows, so abs() of that finite entry raises;
+    # the pivot search reads it as inf and the residual names its entry
+    a = Matrix.from_rows([[1.5e308 + 1.5e308j, 0], [0, 1e-308]])
+    assert gauss_inverse(a).inverse.entry(2, 2) == 1e308
+    with pytest.raises(DomainError, match=r"residual entry \(1, 1\) of A X - I is \(1.5e\+308\+1.5e\+308j\)"):
+        residual_max_abs(a, identity(2))
+
+
+def test_gauss_pivots_on_a_modulus_beyond_double_range():
+    # the overflowing modulus is the largest candidate, so row 2 is the first
+    # pivot; pivoting on row 1 would divide wide by wide, which reads nan
+    x = gauss_inverse(Matrix.from_rows([[1, 1], [1.5e308 + 1.5e308j, 0]])).inverse
+    assert x.entry(2, 1) == 1
