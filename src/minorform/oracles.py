@@ -158,7 +158,8 @@ def gauss_inverse(a: Matrix) -> GaussResult:
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
     Pivots are chosen by largest magnitude, ties keep the first candidate,
-    and only an exactly zero pivot is singular. Callers that want the
+    and only an exactly zero pivot is singular. A magnitude beyond double
+    range reads as inf. Callers that want the
     worst-entry residual against the identity ask `residual_max_abs`.
     """
     n = a.n

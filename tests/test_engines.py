@@ -511,8 +511,6 @@ def test_each_kernel_is_compiled_once(monkeypatch):
     assert encodings == 3 * 11  # direct and gamma at n = 2..5, the three window encodings at n = 3
     # one det kernel per (n, encoding), two cofactor-row kernels per n
     assert len(compiled) == 11 + 2 * 4
-    assert engines._det_kernel.cache_info().currsize == 11
-    assert engines._cofactor_kernels.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
