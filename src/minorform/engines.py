@@ -267,10 +267,7 @@ def _guard_determinant(a: Matrix, det: complex) -> None:
     """
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
-    try:
-        size, scale = abs(det), prod(max(map(abs, row)) for row in a.rows())
-    except OverflowError:
-        size, scale = _modulus(det), prod(max(map(_modulus, row)) for row in a.rows())
+    size, scale = _modulus(det), prod(max(map(_modulus, row)) for row in a.rows())
     if size < NEAR_SINGULAR_RELATIVE * scale:
         warnings.warn(
             NearSingularWarning(

@@ -159,21 +159,23 @@ def gauss_inverse(a: Matrix) -> GaussResult:
 
     Pivots are chosen by largest magnitude, ties keep the first candidate,
     and only an exactly zero pivot is singular. A magnitude beyond double
-    range reads as inf. Callers that want the
+    range reads as inf. A finite pivot whose reciprocal reads 0 raises
+    DomainError: the complex quotient's denominator, |p|^2 / max(|re|, |im|),
+    overflowed, so every quotient by it would read 0, although the true
+    reciprocal of a finite pivot is never 0. Callers that want the
     worst-entry residual against the identity ask `residual_max_abs`.
     """
     n = a.n
     aug = [row + [1.0 + 0.0j if r == c else 0.0 + 0.0j for c in range(n)] for r, row in enumerate(a.rows())]
     for k in range(n):
-        try:
-            pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
-        except OverflowError:
-            pivot_row = max(range(k, n), key=lambda r: _modulus(aug[r][k]))
+        pivot_row = max(range(k, n), key=lambda r: _modulus(aug[r][k]))
         if aug[pivot_row][k] == 0:
             raise SingularMatrixError(f"no usable pivot in column {k + 1}")
         if pivot_row != k:
             aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
         pivot = aug[k][k]
+        if not 1 / pivot and cmath.isfinite(pivot):
+            raise DomainError(f"pivot {pivot!r} in column {k + 1} is too wide to divide by in double precision")
         aug[k] = [v / pivot for v in aug[k]]
         for r in range(n):
             if r == k:

@@ -165,17 +165,35 @@ def test_oracles_raise_on_an_overflowing_determinant(oracle):
         oracle(big)
 
 
-def test_a_modulus_beyond_double_range_is_a_value_or_a_domain_error():
+def test_a_modulus_beyond_double_range_is_a_domain_error():
     # hypot(1.5e308, 1.5e308) overflows, so abs() of that finite entry raises;
-    # the pivot search reads it as inf and the residual names its entry
+    # the pivot search reads it as inf, and dividing by it would read 0
     a = Matrix.from_rows([[1.5e308 + 1.5e308j, 0], [0, 1e-308]])
-    assert gauss_inverse(a).inverse.entry(2, 2) == 1e308
+    with pytest.raises(DomainError, match=r"pivot \(1.5e\+308\+1.5e\+308j\) in column 1 is too wide"):
+        gauss_inverse(a)
     with pytest.raises(DomainError, match=r"residual entry \(1, 1\) of A X - I is \(1.5e\+308\+1.5e\+308j\)"):
         residual_max_abs(a, identity(2))
 
 
 def test_gauss_pivots_on_a_modulus_beyond_double_range():
     # the overflowing modulus is the largest candidate, so row 2 is the first
-    # pivot; pivoting on row 1 would divide wide by wide, which reads nan
-    x = gauss_inverse(Matrix.from_rows([[1, 1], [1.5e308 + 1.5e308j, 0]])).inverse
-    assert x.entry(2, 1) == 1
+    # pivot and column 1 refuses it; read as smallest, column 2 would
+    x = Matrix.from_rows([[1, 1], [1.5e308 + 1.5e308j, 0]])
+    with pytest.raises(DomainError, match="in column 1 is too wide"):
+        gauss_inverse(x)
+
+
+@pytest.mark.parametrize("wide", [1.2e308 + 1.2e308j, -1.2e308 + 1.7e308j, 1.7e308 - 1e308j])
+def test_gauss_refuses_a_pivot_it_cannot_divide_by(wide):
+    # |wide| may be in range, but the quotient's denominator |p|^2 / max part
+    # overflows, so 1 / wide reads 0 where the true reciprocal is about 4e-309
+    assert 1 / wide == 0
+    with pytest.raises(DomainError, match="in column 1 is too wide to divide by"):
+        gauss_inverse(Matrix.from_rows([[wide, 0], [0, 1]]))
+
+
+def test_gauss_divides_by_a_wide_pivot_whose_reciprocal_is_in_range():
+    wide = 1e308 + 1e307j
+    x = gauss_inverse(Matrix.from_rows([[wide, 0], [0, 2]])).inverse
+    assert x.data == (1 / wide, 0, 0, 0.5)
+    assert x.entry(1, 1) != 0
