@@ -38,8 +38,8 @@ import warnings
 from collections.abc import Sequence
 from enum import Enum, unique
 from functools import lru_cache
-from itertools import combinations
-from math import prod
+from itertools import accumulate, combinations
+from math import comb, frexp, ldexp, prod
 from typing import NamedTuple
 
 from .discrete import ReprKind, _check_encoding
@@ -209,6 +209,18 @@ def _inverse_program(n: int):
     return _compile(_inverse_terms(n)[n - 1 :: n])
 
 
+def _function(name: str, params: str, body: Sequence[str]):
+    """`def name(params):` with these body lines, compiled and returned.
+
+    Every straight-line function is built here, from integer offsets alone,
+    never from a value.
+    """
+    namespace: dict = {}
+    source = "\n".join([f"def {name}({params}):", *(f"    {line}" for line in body)])
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def _kernel(program, flip: bool = False):
     """A compiled program as one straight-line function of the flat data.
 
@@ -219,24 +231,21 @@ def _kernel(program, flip: bool = False):
     `((0j + vI * dO) - vJ * dP) ...`: the same operations on the same
     operands in the same order as reading the program term by term, so
     every bit is kept. flip swaps every sign; negating the results instead
-    would change signed zeros. The source is built from integer offsets
-    alone, never from a value.
+    would change signed zeros.
     """
     ops, sums = program
     width = 1 + max(o for terms in sums for _, _, o in terms)
     value = ["(1+0j)", *(f"v{k}" for k in range(1, len(ops) + 1))]
-    lines = ["def kernel(data):", f"    {', '.join(f'd{o}' for o in range(width))} = data"]
-    lines += [f"    v{k} = {value[src]} * d{o}" for k, (src, o) in enumerate(ops, 1)]
+    lines = [f"{', '.join(f'd{o}' for o in range(width))} = data"]
+    lines += [f"v{k} = {value[src]} * d{o}" for k, (src, o) in enumerate(ops, 1)]
     add, sub = (" - ", " + ") if flip else (" + ", " - ")
-    lines.append("    return (")
+    lines.append("return (")
     lines += [
-        "        0j" + "".join(f"{add if positive else sub}{value[i]} * d{o}" for positive, i, o in terms) + ","
+        "    0j" + "".join(f"{add if positive else sub}{value[i]} * d{o}" for positive, i, o in terms) + ","
         for terms in sums
     ]
-    lines.append("    )")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<closed-form kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    lines.append(")")
+    return _function("kernel", "data", lines)
 
 
 @lru_cache(maxsize=None)
@@ -263,12 +272,23 @@ def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex
 def _guard_determinant(a: Matrix, det: complex) -> None:
     """Refuse a zero determinant and warn on a tiny one; det is already finite.
 
-    A modulus beyond double range, where abs raises, reads as inf.
+    The threshold is NEAR_SINGULAR_RELATIVE times the product of the row
+    maxima, held as a mantissa and an exponent, so that it neither
+    overflows nor underflows. The mantissas are multiplied in the rows'
+    order, so wherever the product of the maxima and the threshold are
+    normal doubles the verdict is theirs. A modulus beyond double range,
+    where abs raises, reads as inf.
     """
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
-    size, scale = _modulus(det), prod(max(map(_modulus, row)) for row in a.rows())
-    if size < NEAR_SINGULAR_RELATIVE * scale:
+    mantissas, exponents = zip(*(frexp(max(map(_modulus, row))) for row in a.rows()))
+    bound, exponent = frexp(NEAR_SINGULAR_RELATIVE * prod(mantissas))
+    size = _modulus(det)
+    mantissa, shift = frexp(size)
+    # size < bound * 2**(exponent + sum(exponents)): both mantissas lie in
+    # [0.5, 1), so an exponent gap beyond 1 decides alone and the clamped
+    # ldexp is exact; inf, nan and 0 pass through it as the product would
+    if mantissa < ldexp(bound, min(max(exponent + sum(exponents) - shift, -1), 1)):
         warnings.warn(
             NearSingularWarning(
                 f"determinant magnitude {size:.3e} is below the "
@@ -311,38 +331,69 @@ def _shared_prefix(n: int, r: int, s: int) -> tuple[int, ...]:
     return tuple(i for i, cols in enumerate(tuples) if s not in cols)
 
 
+@lru_cache(maxsize=None)
+def _telescope_levels(n: int) -> dict[int, tuple]:
+    """{states known: the level functions that evaluate the rest}, for size n.
+
+    `_telescope_schedule(n)` as n - 1 straight-line functions `level(data, v)`,
+    one per level k = 2..n, each returning its C(n, k) states in schedule
+    order. Level 2 unpacks the last two rows and forms each pair as
+    `0j + dP * dQ - dR * dS`. Level k unpacks pivot row n - k + 1 and level
+    k - 1's slice of v, and forms each state as
+    `0j + (dO * bC if dO else 0j) - (dP * bD if dP else 0j) ...`, its terms
+    in schedule order. A sum that starts at +0+0j never holds a -0.0 part,
+    so adding 0j at a zero pivot is skipping the term, inf and nan children
+    included.
+    """
+    pairs, states = _telescope_schedule(n)
+    base = (n - 2) * n
+    levels = [_function("level", "data, v", [
+        f"{', '.join(f'd{o}' for o in range(2 * n))} = data[{base}:]",
+        "return (",
+        *(f"    0j + d{p - base} * d{q - base} - d{r - base} * d{s - base}," for p, q, r, s in pairs),
+        ")",
+    ])]
+    # level k's states are v[starts[k - 2] : starts[k - 1]]
+    starts = list(accumulate((comb(n, k) for k in range(2, n + 1)), initial=0))
+    for k in range(3, n + 1):
+        lo, mid, hi, row = starts[k - 3], starts[k - 2], starts[k - 1], (n - k) * n
+        levels.append(_function("level", "data, v", [
+            f"{', '.join(f'd{c}' for c in range(n))} = data[{row}:{row + n}]",
+            f"{', '.join(f'b{i}' for i in range(mid - lo))} = v[{lo}:{mid}]",
+            "return (",
+            *(
+                "    0j" + "".join(
+                    f" {'-' if odd else '+'} (d{o - row} * b{child - lo} if d{o - row} else 0j)" for o, odd, child in state
+                ) + ","
+                for state in states[mid - len(pairs) : hi - len(pairs)]
+            ),
+            ")",
+        ]))
+    return {known: tuple(levels[i:]) for i, known in enumerate(starts[:-1])}
+
+
 def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]:
     """Every state of `_telescope_schedule(a.n)` on `a`, the determinant last.
 
     A chain of first-row deletions leaves a minor named by the tuple of
     its k surviving columns, on the last k rows of `a`. One pass over the
-    schedule evaluates each minor once, bit for bit as the recursion
-    `oracles.laplace_det`: sums start from 0j and skip zero pivots, and
-    `-= term` is its `+= -term` exactly, as IEEE 754 defines x - y as x + (-y).
-    The last state's children are the n first-row minors, which the
-    inverses read through `_first_row_minors`, those behind zero pivots
-    included.
+    schedule evaluates each minor once, level by level through
+    `_telescope_levels`, bit for bit as the recursion `oracles.laplace_det`:
+    sums start from 0j and skip zero pivots, and subtracting a term is its
+    `+= -term` exactly, as IEEE 754 defines x - y as x + (-y). The last
+    state's children are the n first-row minors, which the inverses read
+    through `_first_row_minors`, those behind zero pivots included.
 
-    `known` is empty or a prefix of the states that covers at least every
-    pair, such as a parent pass's states read through `_shared_prefix`; it
-    is copied and only the states after it are evaluated.
+    `known` is empty or the states of whole levels, as a parent pass's
+    states read through `_shared_prefix` are; it is copied and only the
+    levels after it are evaluated.
     """
     n, data = a.n, a.data
     if n == 1:
         return [data[0]]
-    pairs, states = _telescope_schedule(n)
-    v = list(known) or [0j + data[p] * data[q] - data[r] * data[s] for p, q, r, s in pairs]
-    push = v.append
-    for state in states[len(v) - len(pairs) :]:
-        value = 0.0 + 0.0j
-        for o, odd, child in state:
-            pivot = data[o]
-            if pivot:
-                if odd:
-                    value -= pivot * v[child]
-                else:
-                    value += pivot * v[child]
-        push(value)
+    v = list(known)
+    for level in _telescope_levels(n)[len(v)]:
+        v += level(data, v)
     return v
 
 

@@ -214,3 +214,68 @@ def test_compare_reads_the_benchmark_file_and_never_writes_it(tmp_path):
     before = benchmark.read_bytes(), benchmark.stat().st_mtime_ns
     verdicts(tmp_path, {"w": ten_runs(STEADY_OPS, STEADY_LATENCY)}, {"w": ten_runs(STEADY_OPS, STEADY_LATENCY)})
     assert (benchmark.read_bytes(), benchmark.stat().st_mtime_ns) == before
+
+
+def bench_record_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_alternates_the_checkouts_and_drops_each_first_run(tmp_path):
+    tool = bench_record_module()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def run(checkout, argv, workdir):
+        calls.append((checkout.name, argv[0]))
+        assert workdir.is_dir()
+        # a side's k-th call on a command reads 100 + k ms; the parent's are 10 ms slower
+        k = sum(c == (checkout.name, argv[0]) for c in calls)
+        return (100 + k + (10 if checkout == parent else 0)) / 1e3
+
+    times = tool.time_cli(parent, change, 3, run)
+    assert list(times) == [" ".join(argv) for argv in tool.CLI_COMMANDS]
+    assert list(times)[-1] == "validate --trials 10000 --size 5 --out F"
+    for command in ("invert", "det", "validate"):
+        sides = [side for side, name in calls if name == command]
+        # one untimed run each, then parent first on even runs, change first on odd ones
+        assert sides == ["parent", "change", "parent", "change", "change", "parent", "parent", "change"]
+    invert = times["invert --random 8"]
+    assert [round(t * 1e3, 6) for t in invert["parent"]] == [112, 113, 114]
+    assert [round(t * 1e3, 6) for t in invert["change"]] == [102, 103, 104]
+
+
+def test_cli_compares_in_ms_against_the_latency_bound(tmp_path):
+    tool = bench_record_module()
+    latency = {"better": "lower", "bound": 0.25}
+    ten = [0.100 + 0.001 * i for i in range(10)]  # 100..109 ms: median 104.5, IQR 4.5
+    out = tool.compare_cli({
+        "faster": {"parent": ten, "change": [t - 0.010 for t in ten]},
+        "slower": {"parent": ten, "change": [t + 0.030 for t in ten]},
+        "same": {"parent": ten, "change": ten},
+    }, latency)
+    faster = out["faster"]
+    assert [round(v, 6) for v in faster["parent"]] == [102.25, 104.5, 106.75]
+    assert [round(v, 6) for v in faster["change"]] == [92.25, 94.5, 96.75]
+    assert (faster["wins"], faster["pairs"], faster["verdict"]) == (10, 10, "gain")
+    assert round(faster["parent_iqr"], 6) == 4.5
+    # 30 ms on 104.5 is +28.7%, beyond the 25% bound
+    assert (out["slower"]["wins"], out["slower"]["verdict"]) == (0, "worse")
+    assert round(out["slower"]["change_pct"], 1) == 28.7
+    # a tie is not a win
+    assert (out["same"]["wins"], out["same"]["verdict"]) == (0, "within bound")
+
+
+def test_cli_reads_the_latency_bound_and_leaves_benchmark_json_as_it_was(tmp_path, monkeypatch, capsys):
+    tool = bench_record_module()
+    before = tool.BENCHMARK.read_bytes()
+    monkeypatch.setattr(tool, "_time_command", lambda checkout, argv, workdir: 0.1 if checkout.name == "a" else 0.2)
+    assert tool.main(["cli", str(tmp_path / "a"), str(tmp_path / "b"), "--runs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("cli: python ") and out[0].endswith(", times in ms")
+    assert out[1:3] == ["  invert --random 8", "    parent 100 [100-100]  change 200 [200-200]  +100.0%  parent IQR 0  won 0/2  verdict: worse"]
+    assert tool.BENCHMARK.read_bytes() == before

@@ -114,6 +114,17 @@ def test_invert_near_singular_warns_on_stderr(capsys, tmp_path):
     assert "warning" in err
 
 
+@pytest.mark.parametrize("method", ["closed", "telescope"])
+def test_row_maxima_beyond_double_range_print_no_warning(capsys, tmp_path, method):
+    # the row maxima 1e300 and 1e10 multiply past double range; the
+    # determinant 1e300 is far above 1e-12 of their product
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[1e300, 0], [1e10, 1]]}')
+    code, out, err = run_cli(capsys, "invert", "--input", str(path), "--method", method)
+    assert (code, err) == (0, "")
+    assert "residual" in out
+
+
 def test_minor_by_deletion_and_formula_agree(capsys, tmp_path):
     path = matrix_file(tmp_path, FROZEN_3X3)
     _, by_deletion, _ = run_cli(

@@ -177,6 +177,19 @@ def test_well_conditioned_inverse_does_not_warn(recwarn):
     assert not [w for w in recwarn.list if issubclass(w.category, NearSingularWarning)]
 
 
+@pytest.mark.parametrize(
+    "invert",
+    [closed_form_inverse, general_inverse, lambda a: element_inverse(a, 2, 1)],
+    ids=["closed", "general", "element"],
+)
+def test_row_maxima_beyond_double_range_do_not_flag_a_large_determinant(invert):
+    # the row maxima 1e300 and 1e10 multiply past double range; the
+    # determinant 1e300 is far above 1e-12 of their product
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        invert(Matrix.from_rows([[1e300, 0], [1e10, 1]]))
+
+
 def test_general_engine_matches_closed_forms():
     for n in (2, 3, 4, 5):
         a = random_matrix(n, seed=4000 + n, complex_entries=True)
@@ -497,6 +510,7 @@ def test_each_kernel_is_compiled_once(monkeypatch):
     monkeypatch.setattr(engines, "compile", counted, raising=False)
     engines._det_kernel.cache_clear()
     engines._cofactor_kernels.cache_clear()
+    engines._telescope_levels.cache_clear()
     encodings = 0
     for _ in range(3):
         for n in (2, 3, 4, 5):
@@ -508,9 +522,20 @@ def test_each_kernel_is_compiled_once(monkeypatch):
                 except UnsupportedCombinationError:
                     continue
                 encodings += 1
+        for n in range(2, 9):
+            a = random_matrix(n, seed=90 + n)
+            general_det(a)
+            element_inverse(a, 2, 1)
+            general_inverse(a)
     assert encodings == 3 * 11  # direct and gamma at n = 2..5, the three window encodings at n = 3
+    kernels = [source for source in compiled if source.startswith("def kernel(")]
+    levels = [source for source in compiled if source.startswith("def level(")]
+    assert len(kernels) + len(levels) == len(compiled)
     # one det kernel per (n, encoding), two cofactor-row kernels per n
-    assert len(compiled) == 11 + 2 * 4
+    assert len(kernels) == 11 + 2 * 4
+    # n - 1 level functions per telescope size, 2..8, each compiled once
+    assert [len(engines._telescope_levels(n)[0]) for n in range(2, 9)] == list(range(1, 8))
+    assert len(levels) == sum(range(1, 8))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -618,7 +643,7 @@ def test_telescope_is_the_recursion_signed_zeros_included(a):
         assert repr(general_inverse(a).data) == repr(cofactor_inverse(a).data)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7, 8])
 def test_minors_behind_zero_pivots_may_overflow_unread(n):
     # column 1 is zero above the last two rows, so no minor without column 1
     # is reached; the 2x2 one on the last two rows and columns 2, 3 overflows
@@ -635,7 +660,7 @@ def test_minors_behind_zero_pivots_may_overflow_unread(n):
     assert repr(det) == repr(laplace_det(a))
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7])
 def test_first_row_minor_behind_a_zero_pivot_overflows_in_the_inverse(n):
     # a[1, 1] is zero, so the determinant never reads the minor without row 1
     # and column 1, whose diagonal product 1e200 * 1e200 overflows; the
@@ -678,10 +703,10 @@ def overflow_behind_first_pivot(n):
 
 
 def every_state_cases():
-    for n in range(2, 7):
+    for n in range(2, 8):
         for seed in range(3):
             yield pytest.param(with_signed_zeros(n, 9900 + 10 * n + seed), False, id=f"n{n}-{seed}")
-    for n in (3, 5):
+    for n in (3, 5, 7):
         yield pytest.param(overflow_unread(n), True, id=f"unread-overflow-n{n}")
         yield pytest.param(overflow_behind_first_pivot(n), True, id=f"first-pivot-overflow-n{n}")
 
@@ -792,9 +817,10 @@ def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
 
 
 def test_telescope_schedule_is_built_once_per_size():
-    from minorform.engines import _telescope_schedule
+    from minorform.engines import _telescope_levels, _telescope_schedule
 
     _telescope_schedule.cache_clear()
+    _telescope_levels.cache_clear()
     for seed in range(3):
         general_inverse(random_matrix(6, seed=62 + seed))
     assert _telescope_schedule.cache_info().misses == 2  # the 6x6 and its 5x5 minors

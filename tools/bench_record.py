@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py RUNS_DIR LABEL [--out DIR]
     python3 tools/bench_record.py compare PARENT.json CHANGE.json
+    python3 tools/bench_record.py cli PARENT_CHECKOUT CHANGE_CHECKOUT [--runs N]
 
 RUNS_DIR is the `.perfbench_runs` directory that one or more
 `perfbench/run.py --trace 0` runs left at the root of a checkout. Every
@@ -34,6 +35,19 @@ each metric gets a verdict line, read against the metric's relative
   and the change did not win every pair;
 - `within bound`.
 
+`cli` times three commands in fresh interpreters, `python -m minorform`
+on each checkout's `src/`: `invert --random 8`, `det --random 8` and
+`validate --trials 10000 --size 5 --out F`, the last in a temporary
+directory. Each command first runs once untimed on each checkout. Then
+run i times it on both, the parent first where i is even and the change
+first where it is odd, so the two meet the same moments of a shared
+machine. Per command it prints both sides' median and quartiles in ms,
+the change in the median, the parent's interquartile range and the runs
+the change won, pairing run i with run i. A command's wall time is read
+as a latency: the verdict line is `compare`'s, with the direction and
+bound `BENCHMARK.json` gives `latency_p50_ms`. Whether bytecode writing
+is off is printed too, since every run then compiles `src/`.
+
 `BENCHMARK.json` is only read. Standard library only.
 """
 
@@ -41,11 +55,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -199,10 +216,99 @@ def _compare_main(argv) -> int:
     return 0
 
 
+CLI_COMMANDS = (
+    ("invert", "--random", "8"),
+    ("det", "--random", "8"),
+    ("validate", "--trials", "10000", "--size", "5", "--out", "F"),
+)
+
+
+def _time_command(checkout: Path, argv: tuple[str, ...], workdir: Path) -> float:
+    """Wall seconds of `python -m minorform argv` in a fresh interpreter on checkout's src/."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "minorform", *argv], cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+    )
+    elapsed = time.perf_counter() - start
+    if done.returncode:
+        raise SystemExit(f"bench_record: {' '.join(argv)} exited {done.returncode} on {checkout}: {done.stderr.strip()}")
+    return elapsed
+
+
+def time_cli(parent: Path, change: Path, runs: int, run) -> dict[str, dict[str, list[float]]]:
+    """{command: {"parent": seconds by run, "change": seconds by run}}, the checkouts alternating.
+
+    run(checkout, argv, workdir) times one command; the first run of each
+    command on each checkout is not kept.
+    """
+    times = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv in CLI_COMMANDS:
+            sides = {"parent": parent, "change": change}
+            for checkout in sides.values():
+                run(checkout, argv, Path(workdir))
+            kept: dict[str, list[float]] = {"parent": [], "change": []}
+            for i in range(runs):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    kept[side].append(run(sides[side], argv, Path(workdir)))
+            times[" ".join(argv)] = kept
+    return times
+
+
+def compare_cli(times: dict[str, dict[str, list[float]]], latency: dict) -> dict:
+    """Per command, in ms: both sides' quartiles, the change, the parent's IQR, the runs won and the verdict."""
+    out = {}
+    for command, sides in times.items():
+        old, new = ([1e3 * t for t in sides[side]] for side in ("parent", "change"))
+        a, b = _quartiles(old), _quartiles(new)
+        wins = sum(y < x for x, y in zip(old, new))
+        iqr = a["q3"] - a["q1"]
+        out[command] = {
+            "parent": [a["q1"], a["median"], a["q3"]],
+            "change": [b["q1"], b["median"], b["q3"]],
+            "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"],
+            "parent_iqr": iqr,
+            "wins": wins,
+            "pairs": len(old),
+            "verdict": _verdict(a["median"], iqr, b["median"], wins, len(old), latency["better"], latency["bound"]),
+        }
+    return out
+
+
+def _format_cli(comparison: dict) -> str:
+    off = "off" if sys.flags.dont_write_bytecode else "on"
+    lines = [f"cli: python {platform.python_version()}, bytecode writing {off}, times in ms"]
+    for command, m in comparison.items():
+        old = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["parent"])
+        new = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["change"])
+        lines.append(f"  {command}")
+        lines.append(
+            f"    parent {old}  change {new}  {m['change_pct']:+.1f}%  parent IQR {m['parent_iqr']:.4g}"
+            f"  won {m['wins']}/{m['pairs']}  verdict: {m['verdict']}"
+        )
+    return "\n".join(lines)
+
+
+def _cli_main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="bench_record.py cli", description="Time three CLI commands on a checkout and its parent.")
+    parser.add_argument("parent", type=Path, help="the parent's checkout")
+    parser.add_argument("change", type=Path, help="the change's checkout")
+    parser.add_argument("--runs", type=int, default=10, help="timed runs per command and checkout")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    latency = _end_to_end(BENCHMARK)["latency_p50_ms"]
+    print(_format_cli(compare_cli(time_cli(args.parent, args.change, args.runs, _time_command), latency)))
+    return 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["compare"]:
         return _compare_main(argv[1:])
+    if argv[:1] == ["cli"]:
+        return _cli_main(argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("runs_dir", type=Path, help="a checkout's .perfbench_runs directory")
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
