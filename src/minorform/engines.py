@@ -6,15 +6,18 @@ keeps, on the last rows, and deleting position s leaves the child
 `indices.survivor_map(cols, s)`, its step read through kappa and optionally
 a standard-function encoding. The general engine evaluates the schedule's
 2^n - n - 1 states in numbers, one pass up from the closed 2x2 forms,
-without building minor matrices. Its inverses read the first-row minors
-off the determinant's pass; every other cofactor's minor is extracted, and
-its pass starts from the states it shares with the determinant's pass:
-those on the rows below the deleted row. The same pass
-read symbolically gives the products: the determinant table (n = 2..5) as
-flat offsets, the symbolic expansion as column tuples. The inverse tables
-are the det table's derivatives: by Jacobi's formula the cofactor of
-a[i, j] is d det / d a[i, j], the det products that hold a[i, j] with that
-factor dropped.
+without building minor matrices. The pass runs as straight-line Python,
+compiled once per size into one function per level: each unpacks its
+pivot row and the level below, and returns its states, one expression
+each. Its inverses read the first-row minors off the determinant's pass;
+every other cofactor's minor is extracted, and its pass starts from the
+whole levels it shares with the determinant's pass: those on the rows
+below the deleted row. The same pass read symbolically gives the
+products: the determinant table (n = 2..5) as flat offsets, the symbolic
+expansion as column tuples. The inverse tables are the det table's
+derivatives: by Jacobi's formula the cofactor of a[i, j] is
+d det / d a[i, j], the det products that hold a[i, j] with that factor
+dropped.
 
 Schedules and tables are built once and cached, and each closed-form table
 is compiled once into a shared-prefix product program. It stores every
@@ -26,7 +29,8 @@ from 1 + 0j and sums keep their term order, so results are bit for bit
 those of the flat sums. The inverse has one program per size, for the
 last row's cofactors over the rows above it: run on the matrix without
 row i, it gives row i's cofactors, with every sign flipped where
-n - 1 - i is odd.
+n - 1 - i is odd. Kernels and level functions are built from integer
+offsets by one helper, `_function`.
 `check_combination` is the engines' one size check: a size, method or
 encoding an engine does not cover raises UnsupportedCombinationError.
 """
@@ -282,13 +286,13 @@ def _guard_determinant(a: Matrix, det: complex) -> None:
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
     mantissas, exponents = zip(*(frexp(max(map(_modulus, row))) for row in a.rows()))
-    bound, exponent = frexp(NEAR_SINGULAR_RELATIVE * prod(mantissas))
+    threshold, exponent = frexp(NEAR_SINGULAR_RELATIVE * prod(mantissas))
     size = _modulus(det)
     mantissa, shift = frexp(size)
-    # size < bound * 2**(exponent + sum(exponents)): both mantissas lie in
-    # [0.5, 1), so an exponent gap beyond 1 decides alone and the clamped
+    # size < threshold * 2**(exponent + sum(exponents)): both mantissas lie
+    # in [0.5, 1), so an exponent gap beyond 1 decides alone and the clamped
     # ldexp is exact; inf, nan and 0 pass through it as the product would
-    if mantissa < ldexp(bound, min(max(exponent + sum(exponents) - shift, -1), 1)):
+    if mantissa < ldexp(threshold, min(max(exponent + sum(exponents) - shift, -1), 1)):
         warnings.warn(
             NearSingularWarning(
                 f"determinant magnitude {size:.3e} is below the "
