@@ -150,6 +150,22 @@ def _verdict(old: float, iqr: float, new: float, wins: int, pairs: int, better: 
     return "within bound"
 
 
+def _entry(a: dict, b: dict, wins: int | None, pairs: int, spec: dict) -> dict:
+    """One metric's line from both sides' quartiles, the pairs won and its end-to-end entry."""
+    iqr = a["q3"] - a["q1"]
+    return {
+        "parent": [a["q1"], a["median"], a["q3"]],
+        "change": [b["q1"], b["median"], b["q3"]],
+        "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"] if a["median"] else None,
+        "parent_iqr": iqr,
+        "wins": wins,
+        "pairs": pairs,
+        "verdict": None if wins is None else _verdict(
+            a["median"], iqr, b["median"], wins, pairs, spec["better"], spec["bound"]
+        ),
+    }
+
+
 def compare(parent: dict, change: dict, end_to_end: dict[str, dict]) -> dict:
     """Per workload both records hold: the failed shares and, per metric, the pairs won and the verdict."""
     out = {}
@@ -169,23 +185,16 @@ def compare(parent: dict, change: dict, end_to_end: dict[str, dict]) -> dict:
                 wins = sum(b["by_seed"][s] < a["by_seed"][s] for s in seeds)
             else:
                 wins = None
-            iqr = a["q3"] - a["q1"]
-            metrics[name] = {
-                "parent": [a["q1"], a["median"], a["q3"]],
-                "change": [b["q1"], b["median"], b["q3"]],
-                "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"] if a["median"] else None,
-                "parent_iqr": iqr,
-                "wins": wins,
-                "pairs": len(seeds),
-                "verdict": None if wins is None else _verdict(
-                    a["median"], iqr, b["median"], wins, len(seeds), direction, spec["bound"]
-                ),
-            }
+            metrics[name] = _entry(a, b, wins, len(seeds), spec)
         out[workload] = {
             "failed": [[old["failed"], old["attempted"]], [new["failed"], new["attempted"]]],
             "metrics": metrics,
         }
     return out
+
+
+def _spread(quartiles: list[float]) -> str:
+    return "{1:.4g} [{0:.4g}-{2:.4g}]".format(*quartiles)
 
 
 def _format(comparison: dict) -> str:
@@ -195,8 +204,7 @@ def _format(comparison: dict) -> str:
         lines.append(f"{workload}: failed {f0}/{a0} -> {f1}/{a1}")
         lines.append(f"  {'metric':<16} {'parent median [q1-q3]':<30} {'change median [q1-q3]':<30} {'change':>8} {'parent IQR':>11} {'won':>6}")
         for name, m in entry["metrics"].items():
-            old = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["parent"])
-            new = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["change"])
+            old, new = _spread(m["parent"]), _spread(m["change"])
             pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
             won = "n/a" if m["wins"] is None else f"{m['wins']}/{m['pairs']}"
             lines.append(f"  {name:<16} {old:<30} {new:<30} {pct:>8} {m['parent_iqr']:>11.4g} {won:>6}")
@@ -242,10 +250,10 @@ def time_cli(parent: Path, change: Path, runs: int, run) -> dict[str, dict[str, 
     run(checkout, argv, workdir) times one command; the first run of each
     command on each checkout is not kept.
     """
+    sides = {"parent": parent, "change": change}
     times = {}
     with tempfile.TemporaryDirectory() as workdir:
         for argv in CLI_COMMANDS:
-            sides = {"parent": parent, "change": change}
             for checkout in sides.values():
                 run(checkout, argv, Path(workdir))
             kept: dict[str, list[float]] = {"parent": [], "change": []}
@@ -261,18 +269,8 @@ def compare_cli(times: dict[str, dict[str, list[float]]], latency: dict) -> dict
     out = {}
     for command, sides in times.items():
         old, new = ([1e3 * t for t in sides[side]] for side in ("parent", "change"))
-        a, b = _quartiles(old), _quartiles(new)
-        wins = sum(y < x for x, y in zip(old, new))
-        iqr = a["q3"] - a["q1"]
-        out[command] = {
-            "parent": [a["q1"], a["median"], a["q3"]],
-            "change": [b["q1"], b["median"], b["q3"]],
-            "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"],
-            "parent_iqr": iqr,
-            "wins": wins,
-            "pairs": len(old),
-            "verdict": _verdict(a["median"], iqr, b["median"], wins, len(old), latency["better"], latency["bound"]),
-        }
+        wins = sum(y < x if latency["better"] == "lower" else y > x for x, y in zip(old, new))
+        out[command] = _entry(_quartiles(old), _quartiles(new), wins, len(old), latency)
     return out
 
 
@@ -280,8 +278,7 @@ def _format_cli(comparison: dict) -> str:
     off = "off" if sys.flags.dont_write_bytecode else "on"
     lines = [f"cli: python {platform.python_version()}, bytecode writing {off}, times in ms"]
     for command, m in comparison.items():
-        old = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["parent"])
-        new = "{1:.4g} [{0:.4g}-{2:.4g}]".format(*m["change"])
+        old, new = _spread(m["parent"]), _spread(m["change"])
         lines.append(f"  {command}")
         lines.append(
             f"    parent {old}  change {new}  {m['change_pct']:+.1f}%  parent IQR {m['parent_iqr']:.4g}"
