@@ -9,28 +9,26 @@ a standard-function encoding. The general engine evaluates the schedule's
 without building minor matrices. The pass runs as straight-line Python,
 compiled once per size into one function per level: each unpacks its
 pivot row and the level below, and returns its states, one expression
-each. Its inverses read the first-row minors off the determinant's pass;
-every other cofactor's minor is extracted, and its pass starts from the
-whole levels it shares with the determinant's pass: those on the rows
-below the deleted row. The same pass read symbolically gives the
-products: the determinant table (n = 2..5) as flat offsets, the symbolic
-expansion as column tuples. The inverse tables are the det table's
-derivatives: by Jacobi's formula the cofactor of a[i, j] is
-d det / d a[i, j], the det products that hold a[i, j] with that factor
-dropped.
+each. Its inverses read every cofactor through `_cofactors`: the
+first-row minors off the determinant's pass, every other minor from its
+extracted matrix's pass, started from the whole levels it shares with the
+determinant's pass: those on the rows below the deleted row. The same
+pass read symbolically gives the products: the determinant table
+(n = 2..5) as flat offsets, the symbolic expansion as column tuples. The
+inverse tables are the det table's derivatives: by Jacobi's formula the
+cofactor of a[i, j] is d det / d a[i, j], the det products that hold
+a[i, j] with that factor dropped.
 
 Schedules and tables are built once and cached, and each closed-form table
-is compiled once into a shared-prefix product program. It stores every
-distinct proper row prefix once, and each signed sum multiplies a term's
-prefix by its last factor as it adds it. Each program runs as a
-straight-line Python function, built once from its offsets: one statement
-per stored prefix, one expression per signed sum. Products still start
-from 1 + 0j and sums keep their term order, so results are bit for bit
-those of the flat sums. The inverse has one program per size, for the
-last row's cofactors over the rows above it: run on the matrix without
-row i, it gives row i's cofactors, with every sign flipped where
-n - 1 - i is odd. Kernels and level functions are built from integer
-offsets by one helper, `_function`.
+runs as one straight-line Python function, emitted once from its signed
+offsets by `_kernel`: one statement per distinct proper row prefix, one
+expression per signed sum, which multiplies a term's prefix by its last
+factor as it adds it. Products still start from 1 + 0j and sums keep
+their term order, so results are bit for bit those of the flat sums. The
+inverse has one table per size, the last row's cofactors over the rows
+above it: run on the matrix without row i, it gives row i's cofactors,
+with every sign flipped where n - 1 - i is odd. Kernels and level
+functions are built from integer offsets by one helper, `_function`.
 `check_combination` is the engines' one size check: a size, method or
 encoding an engine does not cover raises UnsupportedCombinationError.
 """
@@ -171,48 +169,6 @@ def check_combination(n: int, method: Method, repr_kind: ReprKind) -> None:
         )
 
 
-def _compile(tables):
-    """(ops, sums): each distinct proper row prefix of the tables' products is a node.
-
-    Node 0 is 1 + 0j and op (src, o) makes the next node v[src] * data[o].
-    Each table's sum lists (positive, node, o) in its term order, and the
-    sum forms that term's product v[node] * data[o] as it reads it, so every
-    product is still formed left to right from 1 + 0j and no full product
-    is stored. `_kernel` turns the program into the function that runs it.
-    """
-    nodes: dict[tuple[int, ...], int] = {(): 0}
-    ops: list[tuple[int, int]] = []
-    sums = []
-    for table in tables:
-        terms = []
-        for sign, offsets in table:
-            node = 0
-            for k, o in enumerate(offsets[:-1], 1):
-                child = nodes.setdefault(offsets[:k], len(nodes))
-                if child > len(ops):
-                    ops.append((node, o))
-                node = child
-            terms.append((sign > 0, node, offsets[-1]))
-        sums.append(tuple(terms))
-    return tuple(ops), tuple(sums)
-
-
-@lru_cache(maxsize=None)
-def _det_program(n: int, repr_kind: ReprKind):
-    return _compile((_det_terms(n, repr_kind),))
-
-
-@lru_cache(maxsize=None)
-def _inverse_program(n: int):
-    """The last-row cofactors of the n x n determinant, over its first n - 1 rows.
-
-    The cofactors of row i are these on the matrix without row i, its other
-    rows kept in order: the same products of the same entries in the same
-    order, and the same signs where n - 1 - i is even.
-    """
-    return _compile(_inverse_terms(n)[n - 1 :: n])
-
-
 def _function(name: str, params: str, body: Sequence[str]):
     """`def name(params):` with these body lines, compiled and returned.
 
@@ -225,46 +181,54 @@ def _function(name: str, params: str, body: Sequence[str]):
     return namespace[name]
 
 
-def _kernel(program, flip: bool = False):
-    """A compiled program as one straight-line function of the flat data.
+def _kernel(tables, flip: bool = False):
+    """Signed offset tables as one straight-line function of the flat data.
 
     The function unpacks d0, d1, ... = data, up to the largest offset the
-    sums read, makes each node in order as `vK = vS * dO`, with node 0 the
-    constant (1+0j), and returns the tuple of signed sums, each one
-    expression `0j + vI * dO - vJ * dP ...`. Python evaluates that as
-    `((0j + vI * dO) - vJ * dP) ...`: the same operations on the same
-    operands in the same order as reading the program term by term, so
-    every bit is kept. flip swaps every sign; negating the results instead
-    would change signed zeros.
+    tables read, and returns the tuple of their signed sums. Each distinct
+    proper row prefix of a product is stored once, as `vK = vS * dO` in
+    order of first use, with the empty prefix the constant (1+0j); each sum
+    is one expression `0j + vI * dO - vJ * dP ...`, multiplying a term's
+    prefix by its last factor as it adds it. Python evaluates that as
+    `((0j + vI * dO) - vJ * dP) ...`: every product formed left to right
+    from 1 + 0j and every sum in term order, so every bit is that of the
+    flat sums. flip swaps every sign; negating the results instead would
+    change signed zeros.
     """
-    ops, sums = program
-    width = 1 + max(o for terms in sums for _, _, o in terms)
-    value = ["(1+0j)", *(f"v{k}" for k in range(1, len(ops) + 1))]
-    lines = [f"{', '.join(f'd{o}' for o in range(width))} = data"]
-    lines += [f"v{k} = {value[src]} * d{o}" for k, (src, o) in enumerate(ops, 1)]
     add, sub = (" - ", " + ") if flip else (" + ", " - ")
-    lines.append("return (")
-    lines += [
-        "    0j" + "".join(f"{add if positive else sub}{value[i]} * d{o}" for positive, i, o in terms) + ","
-        for terms in sums
-    ]
-    lines.append(")")
-    return _function("kernel", "data", lines)
+    nodes: dict[tuple[int, ...], str] = {(): "(1+0j)"}
+    lines, sums = [], []
+    for table in tables:
+        terms = []
+        for sign, offsets in table:
+            for k in range(1, len(offsets)):
+                if offsets[:k] not in nodes:
+                    nodes[offsets[:k]] = f"v{len(nodes)}"
+                    lines.append(f"{nodes[offsets[:k]]} = {nodes[offsets[: k - 1]]} * d{offsets[k - 1]}")
+            terms.append(f"{add if sign > 0 else sub}{nodes[offsets[:-1]]} * d{offsets[-1]}")
+        sums.append("    0j" + "".join(terms) + ",")
+    width = 1 + max(offsets[-1] for table in tables for _, offsets in table)
+    unpack = f"{', '.join(f'd{o}' for o in range(width))} = data"
+    return _function("kernel", "data", [unpack, *lines, "return (", *sums, ")"])
 
 
 @lru_cache(maxsize=None)
 def _det_kernel(n: int, repr_kind: ReprKind):
-    return _kernel(_det_program(n, repr_kind))
+    return _kernel((_det_terms(n, repr_kind),))
 
 
 @lru_cache(maxsize=None)
 def _cofactor_kernels(n: int):
     """The cofactor-row kernels of size n: signs as stored, then every sign flipped.
 
-    Row i's cofactors are the stored ones where n - 1 - i is even, as
-    `_inverse_program` says, and the flipped ones where it is odd.
+    Both run the last row's cofactors of the n x n determinant over its
+    first n - 1 rows. Row i's cofactors are these on the matrix without
+    row i, its other rows kept in order: the same products of the same
+    entries in the same order, with the stored signs where n - 1 - i is
+    even and the flipped ones where it is odd.
     """
-    return _kernel(_inverse_program(n)), _kernel(_inverse_program(n), flip=True)
+    tables = _inverse_terms(n)[n - 1 :: n]
+    return _kernel(tables), _kernel(tables, flip=True)
 
 
 def closed_form_det(a: Matrix, repr_kind: ReprKind = ReprKind.DIRECT) -> complex:
@@ -385,8 +349,8 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     `_telescope_levels`, bit for bit as the recursion `oracles.laplace_det`:
     sums start from 0j and skip zero pivots, and subtracting a term is its
     `+= -term` exactly, as IEEE 754 defines x - y as x + (-y). The last
-    state's children are the n first-row minors, which the inverses read
-    through `_first_row_minors`, those behind zero pivots included.
+    state's children are the n first-row minors, which `_cofactors` reads,
+    those behind zero pivots included.
 
     `known` is empty or the states of whole levels, as a parent pass's
     states read through `_shared_prefix` are; it is copied and only the
@@ -401,13 +365,27 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     return v
 
 
-def _first_row_minors(a: Matrix, v: Sequence[complex]) -> Sequence[complex]:
-    """The n first-row minors of `a` off its pass `v`: the last state's
-    children, or at n = 2 the entries a[2][2] and a[2][1]."""
-    if a.n == 2:
-        return a.data[3], a.data[2]
-    _, states = _telescope_schedule(a.n)
-    return [v[child] for _, _, child in states[-1]]
+def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int]]) -> list[complex]:
+    """The signed cofactors (-1)^(r+s) det(minor(a, r, s)) of `a`, one per (r, s) in entries.
+
+    `v` is the pass of `a`. Row 1's minors are its last state's children,
+    or at n = 2 the entries a[2][2] and a[2][1]. Every other minor is
+    extracted, and its pass starts from the states on the rows below its
+    deleted row, read off `v` through `_shared_prefix`: a row-2 minor
+    evaluates only its last state, and the minors of the last two rows
+    share none.
+    """
+    n, data = a.n, a.data
+    first_row = (data[3], data[2]) if n == 2 else [v[child] for _, _, child in _telescope_schedule(n)[1][-1]]
+    out = []
+    for r, s in entries:
+        if r == 1:
+            numer = first_row[s - 1]
+        else:
+            known = [v[i] for i in _shared_prefix(n, r, s)] if r < n - 1 else ()
+            numer = _telescope_states(minor_by_formula(a, r, s), known)[-1]
+        out.append(numer if (r + s) % 2 == 0 else -numer)
+    return out
 
 
 def general_det(a: Matrix) -> complex:
@@ -430,11 +408,7 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
     v = _telescope_states(a)
     det = _finite(v[-1])
     _guard_determinant(a, det)
-    if p == 1:
-        numer = _first_row_minors(a, v)[q - 1]
-    else:
-        numer = _telescope_states(minor_by_formula(a, p, q), [v[i] for i in _shared_prefix(a.n, p, q)])[-1]
-    value = (numer if (p + q) % 2 == 0 else -numer) / det
+    value = _cofactors(a, v, [(p, q)])[0] / det
     if not cmath.isfinite(value):
         raise _entry_overflow(q, p, value)
     return value
@@ -443,31 +417,18 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
 def general_inverse(a: Matrix) -> Matrix:
     """Full inverse from telescoped minor determinants (sizes 2..GENERAL_SIZE_CAP).
 
-    The determinant's own pass also holds the n first-row minors, read by
-    `_first_row_minors`. The other n^2 - n minors are extracted, and each
-    one's pass starts from the states on the rows below its deleted row,
-    read off the determinant's pass through `_shared_prefix`: a row-2 minor
-    evaluates only its last state, and the minors of the last two rows share
-    none.
+    The determinant's pass is read once by `_cofactors` for all n^2
+    cofactors, in row-major order: row 1 off the pass itself, every other
+    row from its extracted minor's pass.
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)
     v = _telescope_states(a)
     det = _finite(v[-1])
     _guard_determinant(a, det)
-    first_row = _first_row_minors(a, v)
-    out = [0.0 + 0.0j] * (n * n)
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            if r == 1:
-                numer = first_row[s - 1]
-            else:
-                known = [v[i] for i in _shared_prefix(n, r, s)] if r < n - 1 else ()
-                numer = _telescope_states(minor_by_formula(a, r, s), known)[-1]
-            if (r + s) % 2:
-                numer = -numer
-            out[(s - 1) * n + (r - 1)] = numer / det
-    return _finite_inverse(n, tuple(out))
+    cofactors = _cofactors(a, v, [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)])
+    # inverse entry (s, r) is cofactor (r, s) over det
+    return _finite_inverse(n, tuple(c / det for s in range(n) for c in cofactors[s::n]))
 
 
 def expand_terms(n: int) -> tuple[SignedTerm, ...]:

@@ -233,13 +233,31 @@ def test_non_integer_expansion_size_is_a_domain_error():
 
 
 def test_element_inverse_picks_single_entries():
-    for n in (2, 3, 4, 5, 6):
-        a = random_matrix(n, seed=900 + n, complex_entries=True)
-        full = general_inverse(a)
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                # element (p, q) of the sum is the (q, p) entry of the inverse
-                assert element_inverse(a, p, q) == full.entry(q, p)
+    # repr, unlike ==, tells -0.0 from 0.0: one entry is bit for bit the
+    # full inverse's, signed zeros included, through the one cofactor reader
+    checked = negative_zeros = singular = 0
+    for n in range(2, 9):
+        draws = [random_matrix(n, seed=900 + n, complex_entries=True)]
+        draws += [with_signed_zeros(n, 9400 + 10 * n + seed) for seed in range(10)]
+        for a in draws:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NearSingularWarning)
+                try:
+                    full = general_inverse(a)
+                except SingularMatrixError:
+                    with pytest.raises(SingularMatrixError):
+                        element_inverse(a, 1, 1)
+                    singular += 1
+                    continue
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        # element (p, q) of the sum is the (q, p) entry of the inverse
+                        entry = element_inverse(a, p, q)
+                        assert repr(entry) == repr(full.entry(q, p))
+                        negative_zeros += "-0.0" in repr(entry)
+                        checked += 1
+    # 5 of the 77 draws are exactly singular, and 362 entries hold a -0.0 part
+    assert (checked, singular, negative_zeros) == (2180, 5, 362)
 
 
 def test_element_inverse_validation():
@@ -482,35 +500,49 @@ def test_closed_forms_are_the_flat_sums_where_products_overflow(n):
     assert min(seen.values()) > 0, seen
 
 
-def test_programs_multiply_each_row_prefix_once():
-    from minorform.engines import _det_program, _inverse_program
-
-    programs = [(_det_program(n, ReprKind.DIRECT), _inverse_program(n)) for n in (2, 3, 4, 5)]
-    # only proper row prefixes are stored: each full product is formed in its sum;
-    # the inverse program is one cofactor row, the n - 1 rows above the last
-    assert [tuple(len(ops) for ops, _ in pair) for pair in programs] == [(2, 0), (9, 3), (40, 16), (205, 85)]
-    # a stored node and a sum term are one multiplication each
-    multiplications = [tuple(len(ops) + sum(map(len, sums)) for ops, sums in pair) for pair in programs]
-    assert multiplications == [(4, 2), (15, 9), (64, 40), (325, 205)]
-    # an inverse runs the cofactor-row program once per row
-    assert [n * inverse for n, (_, inverse) in zip((2, 3, 4, 5), multiplications)] == [4, 27, 160, 1025]
-
-
-def test_each_kernel_is_compiled_once(monkeypatch):
+@pytest.fixture
+def compiled(monkeypatch):
+    """Every source the engines compile from here on, their kernel and level caches cleared."""
     import builtins
 
     import minorform.engines as engines
 
-    compiled = []
+    sources = []
 
     def counted(source, *args):
-        compiled.append(source)
+        sources.append(source)
         return builtins.compile(source, *args)
 
     monkeypatch.setattr(engines, "compile", counted, raising=False)
-    engines._det_kernel.cache_clear()
-    engines._cofactor_kernels.cache_clear()
-    engines._telescope_levels.cache_clear()
+    for cached in (engines._det_kernel, engines._cofactor_kernels, engines._telescope_levels):
+        cached.cache_clear()
+    return sources
+
+
+def test_programs_multiply_each_row_prefix_once(compiled):
+    import re
+
+    from minorform.engines import _cofactor_kernels, _det_kernel
+
+    kernels = []
+    for n in (2, 3, 4, 5):
+        _det_kernel(n, ReprKind.DIRECT)
+        _cofactor_kernels(n)
+        kernels.append((compiled[-3], compiled[-2]))  # the det kernel and the unflipped cofactor row
+    # only proper row prefixes are stored: each full product is formed in its sum;
+    # the inverse kernel is one cofactor row, the n - 1 rows above the last
+    stored = [tuple(len(re.findall(r"^    v\d+ = ", source, re.M)) for source in pair) for pair in kernels]
+    assert stored == [(2, 0), (9, 3), (40, 16), (205, 85)]
+    # a stored prefix and a sum term are one multiplication each
+    multiplications = [tuple(source.count(" * ") for source in pair) for pair in kernels]
+    assert multiplications == [(4, 2), (15, 9), (64, 40), (325, 205)]
+    # an inverse runs the cofactor-row kernel once per row
+    assert [n * inverse for n, (_, inverse) in zip((2, 3, 4, 5), multiplications)] == [4, 27, 160, 1025]
+
+
+def test_each_kernel_is_compiled_once(compiled):
+    import minorform.engines as engines
+
     encodings = 0
     for _ in range(3):
         for n in (2, 3, 4, 5):
@@ -834,7 +866,7 @@ def test_telescope_schedule_is_built_once_per_size():
 def test_tables_and_telescope_share_one_schedule_per_size():
     from minorform import engines
 
-    for cached in (engines._telescope_schedule, engines._det_program, engines._column_terms):
+    for cached in (engines._telescope_schedule, engines._det_kernel, engines._column_terms):
         cached.cache_clear()
     a = random_matrix(5, seed=55)
     closed_form_det(a)
