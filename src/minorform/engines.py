@@ -10,10 +10,9 @@ without building minor matrices. The pass runs as straight-line Python,
 compiled once per size into one function per level: each unpacks its
 pivot row and the level below, and returns its states, one expression
 each. Its inverses read every cofactor through `_cofactors`: the
-first-row minors off the determinant's pass, every other minor from its
-extracted matrix's pass, started from the whole levels it shares with the
-determinant's pass: those on the rows below the deleted row. The same
-pass read symbolically gives the products: the determinant table
+first-row minors off the determinant's pass, and row r's n minors, all
+but their last states, off one pass with row r on top. The same pass
+read symbolically gives the products: the determinant table
 (n = 2..5) as flat offsets, the symbolic expansion as column tuples. The
 inverse tables are the det table's derivatives: by Jacobi's formula the
 cofactor of a[i, j] is d det / d a[i, j], the det products that hold
@@ -42,6 +41,7 @@ from enum import Enum, unique
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, frexp, ldexp, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .discrete import ReprKind, _check_encoding
@@ -245,11 +245,14 @@ def _guard_determinant(a: Matrix, det: complex) -> None:
     overflows nor underflows. The mantissas are multiplied in the rows'
     order, so wherever the product of the maxima and the threshold are
     normal doubles the verdict is theirs. A modulus beyond double range,
-    where abs raises, reads as inf.
+    where abs raises, reads as inf: then the maxima are read by `_modulus`.
     """
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
-    mantissas, exponents = zip(*(frexp(max(map(_modulus, row))) for row in a.rows()))
+    try:
+        mantissas, exponents = zip(*(frexp(max(map(abs, row))) for row in a.rows()))
+    except OverflowError:
+        mantissas, exponents = zip(*(frexp(max(map(_modulus, row))) for row in a.rows()))
     threshold, exponent = frexp(NEAR_SINGULAR_RELATIVE * prod(mantissas))
     size = _modulus(det)
     mantissa, shift = frexp(size)
@@ -352,9 +355,8 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     state's children are the n first-row minors, which `_cofactors` reads,
     those behind zero pivots included.
 
-    `known` is empty or the states of whole levels, as a parent pass's
-    states read through `_shared_prefix` are; it is copied and only the
-    levels after it are evaluated.
+    `known` is empty or whole levels, as a `_row_pass` read at
+    `_shared_prefix` gives them; only the levels after it are evaluated.
     """
     n, data = a.n, a.data
     if n == 1:
@@ -365,24 +367,37 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     return v
 
 
+def _row_pass(a: Matrix, v: Sequence[complex], r: int) -> list[complex]:
+    """Row r's pass: at `_shared_prefix(n, 2, s)`, every state of minor (r, s) but its last.
+
+    `_telescope_levels(a.n)` up to n - 2 columns, on `a` with row r on top,
+    which they never read; the levels of `v`, `a`'s pass, below r are copied.
+    """
+    n, data = a.n, a.data
+    w = v[: sum(comb(n, k) for k in range(2, n - r + 1))]
+    moved = data[(r - 1) * n : r * n] + data[: (r - 1) * n] + data[r * n :]
+    for level in _telescope_levels(n)[len(w)][:-2]:
+        w += level(moved, w)
+    return w
+
+
 def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int]]) -> list[complex]:
     """The signed cofactors (-1)^(r+s) det(minor(a, r, s)) of `a`, one per (r, s) in entries.
 
     `v` is the pass of `a`. Row 1's minors are its last state's children,
     or at n = 2 the entries a[2][2] and a[2][1]. Every other minor is
-    extracted, and its pass starts from the states on the rows below its
-    deleted row, read off `v` through `_shared_prefix`: a row-2 minor
-    evaluates only its last state, and the minors of the last two rows
-    share none.
+    extracted, and its pass starts from every state but its last, read
+    off its row's `_row_pass`: for row 2 `v` itself; at n = 3 none is shared.
     """
     n, data = a.n, a.data
     first_row = (data[3], data[2]) if n == 2 else [v[child] for _, _, child in _telescope_schedule(n)[1][-1]]
+    passes = {r: _row_pass(a, v, r) for r in {r for r, _ in entries if r > 2}} if n > 3 else {}
     out = []
     for r, s in entries:
         if r == 1:
             numer = first_row[s - 1]
         else:
-            known = [v[i] for i in _shared_prefix(n, r, s)] if r < n - 1 else ()
+            known = itemgetter(*_shared_prefix(n, 2, s))(passes.get(r, v)) if n > 3 else ()
             numer = _telescope_states(minor_by_formula(a, r, s), known)[-1]
         out.append(numer if (r + s) % 2 == 0 else -numer)
     return out
@@ -398,8 +413,8 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
     """Single inverse entry: the (q, p) entry of the inverse of `a`.
 
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a): one pass
-    over `a`, which at p = 1 already holds the minor, else the minor's pass
-    from the states the two share, so one entry never costs a full inverse.
+    over `a`, which at p = 1 already holds the minor, else row p's pass and
+    the minor's last state, so one entry never costs a full inverse.
     DomainError names the entry if it overflows.
     """
     _check_integer(p, "row index", 1, a.n)
@@ -419,7 +434,7 @@ def general_inverse(a: Matrix) -> Matrix:
 
     The determinant's pass is read once by `_cofactors` for all n^2
     cofactors, in row-major order: row 1 off the pass itself, every other
-    row from its extracted minor's pass.
+    row off its row pass and its minors' last states.
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)

@@ -817,6 +817,40 @@ def test_minor_passes_from_shared_states_are_the_unshared_passes(a):
                         element_inverse(a, p, q)
 
 
+def level_calls(monkeypatch):
+    """Every level function call from here on, as (size, states known, states returned)."""
+    import minorform.engines as engines
+
+    cached, calls = engines._telescope_levels, []
+
+    def counted(n, level):
+        def call(data, v):
+            states = level(data, v)
+            calls.append((n, len(v), len(states)))
+            return states
+
+        return call
+
+    monkeypatch.setattr(
+        engines, "_telescope_levels", lambda n: {k: tuple(counted(n, f) for f in fs) for k, fs in cached(n).items()}
+    )
+    return calls
+
+
+def work(calls):
+    """(child products, pair forms) that these level calls evaluate."""
+    from minorform.engines import _telescope_schedule
+
+    products = pair_forms = 0
+    for m, known, count in calls:
+        pairs, states = _telescope_schedule(m)
+        if known:
+            products += sum(map(len, states[known - len(pairs) : known - len(pairs) + count]))
+        else:
+            pair_forms += count
+    return products, pair_forms
+
+
 def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
     import minorform.engines as engines
 
@@ -829,23 +863,57 @@ def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
         return states
 
     monkeypatch.setattr(engines, "_telescope_states", recorded)
+    calls = level_calls(monkeypatch)
     general_inverse(random_matrix(6, seed=66))
     (parent, *minors) = passes
     assert parent == (6, 0, 2**6 - 6 - 1) and len(minors) == 30
-    # row 2's minors come first, and each appends only its last state
-    assert [total - known for _, known, total in minors[:6]] == [1] * 6
-    products = pair_forms = 0
-    for m, known, _ in minors:
-        pairs, states = engines._telescope_schedule(m)
-        pair_forms += 0 if known else len(pairs)
-        products += sum(map(len, states[max(known - len(pairs), 0) :]))
-    assert (products, pair_forms) == (1170, 120)  # (1650, 300) with no state shared
+    # every minor pass starts from its row pass and appends only its last state
+    assert [total - known for _, known, total in minors] == [1] * 30
+    # after the determinant pass's 5 level calls, the row passes of rows 3..6
+    # make 9 and the minor passes 30 (84 with no row pass)
+    assert len(calls) == 5 + 39
+    # row passes and minor passes together; (1170, 120) when each minor pass
+    # started from the determinant pass's shared states, (1650, 300) with no
+    # state shared
+    assert work(calls[5:]) == (570, 30)
     passes.clear()
     element_inverse(random_matrix(6, seed=66), 2, 5)
     assert [(m, total - known) for m, known, total in passes] == [(6, 57), (5, 1)]
     passes.clear()
     element_inverse(random_matrix(6, seed=66), 1, 3)
     assert [(m, total - known) for m, known, total in passes] == [(6, 57)]
+
+
+def row_pass_cases():
+    for n in range(3, 9):
+        yield pytest.param(with_signed_zeros(n, 9500 + n), id=f"signed-zeros-n{n}")
+        yield pytest.param(random_matrix(n, seed=9550 + n, complex_entries=True), id=f"complex-n{n}")
+        yield pytest.param(overflow_unread(n), id=f"unread-overflow-n{n}")
+    for k, rows in enumerate(SIGNED_ZERO_PIVOT_CASES):
+        yield pytest.param(Matrix.from_rows(rows), id=f"zero-pivots-{k}")
+
+
+@pytest.mark.parametrize("a", row_pass_cases())
+def test_a_row_pass_holds_its_minors_states(a):
+    # row r's pass, read at _shared_prefix(n, 2, s), is every state of minor
+    # (r, s) but its last, telescoped from scratch, bit for bit
+    from minorform.engines import _row_pass, _shared_prefix, _telescope_states
+
+    n = a.n
+    v = _telescope_states(a)
+    for r in range(2, n + 1):
+        w = _row_pass(a, v, r)
+        for s in range(1, n + 1):
+            expected = _telescope_states(minor_by_formula(a, r, s))[:-1]
+            assert repr([w[i] for i in _shared_prefix(n, 2, s)]) == repr(expected), (r, s)
+
+
+def test_row_passes_share_each_rows_states_at_8x8(monkeypatch):
+    calls = level_calls(monkeypatch)
+    general_inverse(random_matrix(8, seed=88))
+    # (13608, 336) when each minor pass started from the determinant pass's
+    # shared states
+    assert work(calls[7:]) == (4424, 56)
 
 
 def test_telescope_schedule_is_built_once_per_size():
@@ -917,6 +985,25 @@ def test_element_inverse_returns_an_entry_beside_a_modulus_beyond_double_range()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearSingularWarning)
         assert element_inverse(a, 1, 1) == a.entry(2, 2) / general_det(a)
+
+
+@pytest.mark.parametrize(
+    "rows, warns",
+    [
+        (WIDE_MODULUS, True),
+        ([[1.5e308 + 1.5e308j, 0], [0, 1]], False),
+        ([[1, 0, 0], [0, 1.5e308 + 1.5e308j, 1], [0, 1, 1e-300]], True),
+    ],
+    ids=["tiny-det", "wide-det", "3x3"],
+)
+def test_a_row_maximum_beyond_double_range_keeps_its_verdict(rows, warns):
+    # abs() raises on the wide entry, so its row maximum reads as inf and the
+    # threshold is inf: a finite determinant warns, and one whose own modulus
+    # is beyond double range, inf too, does not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        element_inverse(Matrix.from_rows(rows), 1, 1)
+    assert [w.category for w in caught] == ([NearSingularWarning] if warns else [])
 
 
 @pytest.mark.parametrize(
