@@ -10,9 +10,9 @@ without building minor matrices. The pass runs as straight-line Python,
 compiled once per size into one function per level: each unpacks its
 pivot row and the level below, and returns its states, one expression
 each. Its inverses read every cofactor through `_cofactors`: the
-first-row minors off the determinant's pass, and row r's n minors, all
-but their last states, off one pass with row r on top. The same pass
-read symbolically gives the products: the determinant table
+first-row minors off the determinant's pass, row r's other minors by one
+top-level call each, on states off one pass with row r on top. The same
+pass read symbolically gives the products: the determinant table
 (n = 2..5) as flat offsets, the symbolic expansion as column tuples. The
 inverse tables are the det table's derivatives: by Jacobi's formula the
 cofactor of a[i, j] is d det / d a[i, j], the det products that hold
@@ -249,10 +249,11 @@ def _guard_determinant(a: Matrix, det: complex) -> None:
     """
     if det == 0:
         raise SingularMatrixError("determinant is exactly zero")
+    n, data = a.n, a.data
     try:
-        mantissas, exponents = zip(*(frexp(max(map(abs, row))) for row in a.rows()))
+        mantissas, exponents = zip(*(frexp(max(map(abs, data[i : i + n]))) for i in range(0, n * n, n)))
     except OverflowError:
-        mantissas, exponents = zip(*(frexp(max(map(_modulus, row))) for row in a.rows()))
+        mantissas, exponents = zip(*(frexp(max(map(_modulus, data[i : i + n]))) for i in range(0, n * n, n)))
     threshold, exponent = frexp(NEAR_SINGULAR_RELATIVE * prod(mantissas))
     size = _modulus(det)
     mantissa, shift = frexp(size)
@@ -343,7 +344,7 @@ def _telescope_levels(n: int) -> dict[int, tuple]:
     return {known: tuple(levels[i:]) for i, known in enumerate(starts[:-1])}
 
 
-def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]:
+def _telescope_states(a: Matrix) -> list[complex]:
     """Every state of `_telescope_schedule(a.n)` on `a`, the determinant last.
 
     A chain of first-row deletions leaves a minor named by the tuple of
@@ -354,17 +355,20 @@ def _telescope_states(a: Matrix, known: Sequence[complex] = ()) -> list[complex]
     `+= -term` exactly, as IEEE 754 defines x - y as x + (-y). The last
     state's children are the n first-row minors, which `_cofactors` reads,
     those behind zero pivots included.
-
-    `known` is empty or whole levels, as a `_row_pass` read at
-    `_shared_prefix` gives them; only the levels after it are evaluated.
     """
     n, data = a.n, a.data
     if n == 1:
         return [data[0]]
-    v = list(known)
-    for level in _telescope_levels(n)[len(v)]:
+    v = []
+    for level in _telescope_levels(n)[0]:
         v += level(data, v)
     return v
+
+
+@lru_cache(maxsize=None)
+def _states_below(n: int, r: int) -> int:
+    """The states of the n x n pass on the rows below row r: its 2..n - r column tuples."""
+    return sum(comb(n, k) for k in range(2, n - r + 1))
 
 
 def _row_pass(a: Matrix, v: Sequence[complex], r: int) -> list[complex]:
@@ -374,11 +378,18 @@ def _row_pass(a: Matrix, v: Sequence[complex], r: int) -> list[complex]:
     which they never read; the levels of `v`, `a`'s pass, below r are copied.
     """
     n, data = a.n, a.data
-    w = v[: sum(comb(n, k) for k in range(2, n - r + 1))]
+    w = v[: _states_below(n, r)]
     moved = data[(r - 1) * n : r * n] + data[: (r - 1) * n] + data[r * n :]
     for level in _telescope_levels(n)[len(w)][:-2]:
         w += level(moved, w)
     return w
+
+
+@lru_cache(maxsize=None)
+def _shared_reader(n: int, s: int):
+    """Reads `_shared_prefix(n, 2, s)` off a row pass: minor (r, s)'s states but its last."""
+    prefix = _shared_prefix(n, 2, s)
+    return itemgetter(*prefix) if prefix else lambda w: ()
 
 
 def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int]]) -> list[complex]:
@@ -386,8 +397,9 @@ def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int
 
     `v` is the pass of `a`. Row 1's minors are its last state's children,
     or at n = 2 the entries a[2][2] and a[2][1]. Every other minor is
-    extracted, and its pass starts from every state but its last, read
-    off its row's `_row_pass`: for row 2 `v` itself; at n = 3 none is shared.
+    extracted and its last state alone evaluated, by its size's top level
+    on the others, read off its row's `_row_pass` (for row 2 `v` itself):
+    at n = 3 the pair form, which reads none; at n = 2 it is one entry.
     """
     n, data = a.n, a.data
     first_row = (data[3], data[2]) if n == 2 else [v[child] for _, _, child in _telescope_schedule(n)[1][-1]]
@@ -396,9 +408,10 @@ def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int
     for r, s in entries:
         if r == 1:
             numer = first_row[s - 1]
+        elif n == 2:
+            numer = minor_by_formula(a, r, s).data[0]
         else:
-            known = itemgetter(*_shared_prefix(n, 2, s))(passes.get(r, v)) if n > 3 else ()
-            numer = _telescope_states(minor_by_formula(a, r, s), known)[-1]
+            numer = _telescope_levels(n - 1)[0][-1](minor_by_formula(a, r, s).data, _shared_reader(n, s)(passes.get(r, v)))[0]
         out.append(numer if (r + s) % 2 == 0 else -numer)
     return out
 
@@ -414,7 +427,7 @@ def element_inverse(a: Matrix, p: int, q: int) -> complex:
 
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a): one pass
     over `a`, which at p = 1 already holds the minor, else row p's pass and
-    the minor's last state, so one entry never costs a full inverse.
+    one level call for the minor's last state: never a full inverse.
     DomainError names the entry if it overflows.
     """
     _check_integer(p, "row index", 1, a.n)
@@ -434,7 +447,7 @@ def general_inverse(a: Matrix) -> Matrix:
 
     The determinant's pass is read once by `_cofactors` for all n^2
     cofactors, in row-major order: row 1 off the pass itself, every other
-    row off its row pass and its minors' last states.
+    row by one level call per minor on states read off its row pass.
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)

@@ -279,3 +279,80 @@ def test_cli_reads_the_latency_bound_and_leaves_benchmark_json_as_it_was(tmp_pat
     assert out[0].startswith("cli: python ") and out[0].endswith(", times in ms")
     assert out[1:3] == ["  invert --random 8", "    parent 100 [100-100]  change 200 [200-200]  +100.0%  parent IQR 0  won 0/2  verdict: worse"]
     assert tool.BENCHMARK.read_bytes() == before
+
+
+STUB_MATRICES = """
+class Matrix:
+    def __init__(self, n, data):
+        self.n, self.data = n, data
+"""
+
+STUB_ENGINES = """
+import warnings
+
+
+def general_det(a):
+    return a.data[0] {sign} a.data[1]
+
+
+def general_inverse(a):
+    warnings.warn("tiny", UserWarning)
+    return a.data[::-1]
+
+
+def element_inverse(a, p, q):
+    return a.data[(p - 1) * a.n + q - 1]
+
+
+def closed_form_det(a):
+    if a.n > 5:
+        raise ValueError(f"size {{a.n}}")
+    return a.data[0]
+
+
+closed_form_inverse = general_inverse
+"""
+
+
+def stub_checkout(root, sign):
+    package = root / "src" / "minorform"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "matrices.py").write_text(STUB_MATRICES)
+    (package / "engines.py").write_text(STUB_ENGINES.format(sign=sign))
+    return root
+
+
+def bits_lines(*checkouts):
+    done = subprocess.run([sys.executable, str(SCRIPT), "bits", *map(str, checkouts)], capture_output=True, text=True)
+    return done.returncode, {line.split(":")[0]: line.split() for line in done.stdout.splitlines()}
+
+
+def test_bits_reads_one_flipped_sign_as_differ(tmp_path):
+    parent, change = stub_checkout(tmp_path / "parent", "-"), stub_checkout(tmp_path / "change", "+")
+    code, lines = bits_lines(parent, change)
+    assert code == 1
+    assert sorted(lines) == ["closed_form_det", "closed_form_inverse", "element_inverse", "general_det", "general_inverse"]
+    # 64 draws per size n = 2..8, and element_inverse at each of their n^2 entries
+    assert [lines[name][2] for name in sorted(lines)] == ["448", "448", "12992", "448", "448"]
+    assert lines["general_det"][-1] == "differ" and lines["general_det"][3] != lines["general_det"][6]
+    assert [lines[name][-1] for name in sorted(lines) if name != "general_det"] == ["identical"] * 4
+    code, lines = bits_lines(parent, parent)
+    assert code == 0 and [line[-1] for line in lines.values()] == ["identical"] * 5
+
+
+def test_an_outcome_is_the_value_and_its_warnings_or_the_exception():
+    import importlib.util
+    import warnings
+
+    spec = importlib.util.spec_from_file_location("bits_outcomes", SCRIPT.with_name("bits_outcomes.py"))
+    outcomes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outcomes)
+
+    def warned():
+        warnings.warn("tiny", UserWarning)
+        return -0.0
+
+    assert outcomes.outcome(warned) == repr((-0.0, [("UserWarning", "tiny")]))
+    assert outcomes.outcome(lambda: 1 / 0) == repr(("ZeroDivisionError", "division by zero"))
+    assert outcomes.outcome(complex, 0.0) != outcomes.outcome(complex, -0.0)

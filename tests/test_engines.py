@@ -857,31 +857,31 @@ def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
     telescope = engines._telescope_states
     passes = []
 
-    def recorded(a, known=()):
-        states = telescope(a, known)
-        passes.append((a.n, len(known), len(states)))
+    def recorded(a):
+        states = telescope(a)
+        passes.append((a.n, len(states)))
         return states
 
     monkeypatch.setattr(engines, "_telescope_states", recorded)
     calls = level_calls(monkeypatch)
     general_inverse(random_matrix(6, seed=66))
-    (parent, *minors) = passes
-    assert parent == (6, 0, 2**6 - 6 - 1) and len(minors) == 30
-    # every minor pass starts from its row pass and appends only its last state
-    assert [total - known for _, known, total in minors] == [1] * 30
-    # after the determinant pass's 5 level calls, the row passes of rows 3..6
-    # make 9 and the minor passes 30 (84 with no row pass)
+    # only the determinant's pass runs whole
+    assert passes == [(6, 2**6 - 6 - 1)]
+    # after its 5 level calls, the row passes of rows 3..6 make 9, and each
+    # minor one call of its top level from its 25 shared states (84 with no
+    # row pass)
     assert len(calls) == 5 + 39
-    # row passes and minor passes together; (1170, 120) when each minor pass
+    assert calls[-30:] == [(5, 25, 1)] * 30
+    # row passes and minor levels together; (1170, 120) when each minor pass
     # started from the determinant pass's shared states, (1650, 300) with no
     # state shared
     assert work(calls[5:]) == (570, 30)
-    passes.clear()
+    calls.clear()
     element_inverse(random_matrix(6, seed=66), 2, 5)
-    assert [(m, total - known) for m, known, total in passes] == [(6, 57), (5, 1)]
-    passes.clear()
+    assert calls[5:] == [(5, 25, 1)]
+    calls.clear()
     element_inverse(random_matrix(6, seed=66), 1, 3)
-    assert [(m, total - known) for m, known, total in passes] == [(6, 57)]
+    assert calls[5:] == []
 
 
 def row_pass_cases():

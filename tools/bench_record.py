@@ -3,6 +3,7 @@
     python3 tools/bench_record.py RUNS_DIR LABEL [--out DIR]
     python3 tools/bench_record.py compare PARENT.json CHANGE.json
     python3 tools/bench_record.py cli PARENT_CHECKOUT CHANGE_CHECKOUT [--runs N]
+    python3 tools/bench_record.py bits PARENT_CHECKOUT CHANGE_CHECKOUT
 
 RUNS_DIR is the `.perfbench_runs` directory that one or more
 `perfbench/run.py --trace 0` runs left at the root of a checkout. Every
@@ -48,6 +49,12 @@ as a latency: the verdict line is `compare`'s, with the direction and
 bound `BENCHMARK.json` gives `latency_p50_ms`. Whether bytecode writing
 is off is printed too, since every run then compiles `src/`.
 
+`bits` runs `tools/bits_outcomes.py`, the same script for both, in a
+fresh interpreter per checkout with that checkout's `src/` on the path.
+Per engine it prints both sides' outcome count and sha256 over the
+outcomes' `repr`s, and `identical` or `differ`; it exits 1 if any engine
+differs.
+
 `BENCHMARK.json` is only read. Standard library only.
 """
 
@@ -66,6 +73,7 @@ import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+OUTCOMES = Path(__file__).resolve().with_name("bits_outcomes.py")
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json")
 
 
@@ -300,8 +308,34 @@ def _cli_main(argv) -> int:
     return 0
 
 
+def outcome_hashes(checkout: Path) -> dict[str, list]:
+    """{engine: [outcome count, sha256]} from `bits_outcomes.py` on checkout's src/."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    done = subprocess.run([sys.executable, str(OUTCOMES)], env=env, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"bench_record: {OUTCOMES.name} exited {done.returncode} on {checkout}: {done.stderr.strip()}")
+    return json.loads(done.stdout)
+
+
+def _bits_main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="bench_record.py bits", description="Compare every engine outcome of two checkouts bit for bit.")
+    parser.add_argument("parent", type=Path, help="the parent's checkout")
+    parser.add_argument("change", type=Path, help="the change's checkout")
+    args = parser.parse_args(argv)
+    old, new = outcome_hashes(args.parent), outcome_hashes(args.change)
+    differ = False
+    for engine in sorted(old.keys() | new.keys()):
+        a, b = old.get(engine), new.get(engine)
+        differ |= a != b
+        sides = "  ".join(f"{side} {'-' if h is None else f'{h[0]} {h[1]}'}" for side, h in (("parent", a), ("change", b)))
+        print(f"{engine}: {sides}  {'identical' if a == b else 'differ'}")
+    return int(differ)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["bits"]:
+        return _bits_main(argv[1:])
     if argv[:1] == ["compare"]:
         return _compare_main(argv[1:])
     if argv[:1] == ["cli"]:
