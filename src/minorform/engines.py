@@ -403,7 +403,7 @@ def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int
     """
     n, data = a.n, a.data
     first_row = (data[3], data[2]) if n == 2 else [v[child] for _, _, child in _telescope_schedule(n)[1][-1]]
-    passes = {r: _row_pass(a, v, r) for r in {r for r, _ in entries if r > 2}} if n > 3 else {}
+    passes = {r: _row_pass(a, v, r) for r in {r for r, _ in entries if r > 2}}
     out = []
     for r, s in entries:
         if r == 1:

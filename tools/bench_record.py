@@ -53,7 +53,7 @@ is off is printed too, since every run then compiles `src/`.
 fresh interpreter per checkout with that checkout's `src/` on the path.
 Per engine it prints both sides' outcome count and sha256 over the
 outcomes' `repr`s, and `identical` or `differ`; it exits 1 if any engine
-differs.
+differs. A checkout whose script run fails ends the command.
 
 `BENCHMARK.json` is only read. Standard library only.
 """
@@ -323,13 +323,10 @@ def _bits_main(argv) -> int:
     parser.add_argument("change", type=Path, help="the change's checkout")
     args = parser.parse_args(argv)
     old, new = outcome_hashes(args.parent), outcome_hashes(args.change)
-    differ = False
-    for engine in sorted(old.keys() | new.keys()):
-        a, b = old.get(engine), new.get(engine)
-        differ |= a != b
-        sides = "  ".join(f"{side} {'-' if h is None else f'{h[0]} {h[1]}'}" for side, h in (("parent", a), ("change", b)))
-        print(f"{engine}: {sides}  {'identical' if a == b else 'differ'}")
-    return int(differ)
+    for engine, (count, sha) in old.items():
+        verdict = "identical" if new[engine] == [count, sha] else "differ"
+        print(f"{engine}: parent {count} {sha}  change {new[engine][0]} {new[engine][1]}  {verdict}")
+    return int(old != new)
 
 
 def main(argv=None) -> int:
