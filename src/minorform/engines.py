@@ -4,16 +4,18 @@ The determinant's first-row expansion is one DAG, stated once by
 `_telescope_schedule`: a nested minor is the ascending tuple of columns it
 keeps, on the last rows, and deleting position s leaves the child
 `indices.survivor_map(cols, s)`, its step read through kappa and optionally
-a standard-function encoding. The general engine evaluates the schedule's
-2^n - n - 1 states in numbers, one pass up from the closed 2x2 forms,
-without building minor matrices. The pass runs as straight-line Python,
-compiled once per size into one function per level: each unpacks its
-pivot row and the level below, and returns its states, one expression
-each. Its inverses read every cofactor through `_cofactors`: the
-first-row minors off the determinant's pass, row r's other minors by one
-top-level call each, on states off one pass with row r on top. The same
-pass read symbolically gives the products: the determinant table
-(n = 2..5) as flat offsets, the symbolic expansion as column tuples. The
+a standard-function encoding. The schedule is one level per tuple length
+k = 2..n, and a state names its children by position in level k - 1. The
+general engine evaluates the 2^n - n - 1 states in numbers, one pass up
+from the closed 2x2 forms, without building minor matrices. The pass
+runs as straight-line Python, compiled once per size into one function
+per level: each unpacks its pivot row and the level below, and returns
+its level, one expression per state. Its inverses read every cofactor
+through `_cofactors`: the first-row minors off the determinant's pass,
+row r's other minors by one top-level call each, on the level of n - 2
+columns with row r on top. The same levels read symbolically give the
+products: the determinant table (n = 2..5) as flat offsets, the symbolic
+expansion as column tuples. The
 inverse tables are the det table's derivatives: by Jacobi's formula the
 cofactor of a[i, j] is d det / d a[i, j], the det products that hold
 a[i, j] with that factor dropped.
@@ -39,7 +41,7 @@ import warnings
 from collections.abc import Sequence
 from enum import Enum, unique
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, frexp, ldexp, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -82,24 +84,28 @@ class SignedTerm(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _telescope_schedule(n: int, repr_kind: ReprKind = ReprKind.DIRECT):
-    """(pairs, states): every ascending tuple of 2..n columns, by length.
+    """(pairs, levels): every ascending tuple of 2..n columns, one level per length.
 
     Position s of a tuple has the child `survivor_map(cols, s, repr_kind)`.
-    A pair is the offsets (p, q, r, s) of 0j + data[p] * data[q] - data[r] * data[s].
-    A k-column state lists (pivot offset of c on row n - k + 1, odd position,
-    child index) per column c in order.
+    A pair, a 2-column tuple, is the offsets (p, q, r, s) of
+    0j + data[p] * data[q] - data[r] * data[s]. levels[k - 3] holds the
+    k-column states, k = 3..n: each lists (pivot offset of c on row
+    n - k + 1, odd position, child's position in level k - 1) per column c
+    in order.
     """
-    tuples = [cols for k in range(2, n + 1) for cols in combinations(range(1, n + 1), k)]
-    index = {cols: i for i, cols in enumerate(tuples)}
-    pairs, states = [], []
-    for cols in tuples:
-        row = (n - len(cols)) * n - 1
-        if len(cols) == 2:
-            (q,), (s,) = survivor_map(cols, 1, repr_kind), survivor_map(cols, 2, repr_kind)
-            pairs.append((row + cols[0], row + n + q, row + cols[1], row + n + s))
-        else:
-            states.append(tuple((row + c, s % 2 == 0, index[survivor_map(cols, s, repr_kind)]) for s, c in enumerate(cols, 1)))
-    return tuple(pairs), tuple(states)
+    columns, row = range(1, n + 1), (n - 2) * n - 1
+    pairs = []
+    for cols in combinations(columns, 2):
+        (q,), (s,) = survivor_map(cols, 1, repr_kind), survivor_map(cols, 2, repr_kind)
+        pairs.append((row + cols[0], row + n + q, row + cols[1], row + n + s))
+    levels = []
+    for k in range(3, n + 1):
+        row, below = (n - k) * n - 1, {cols: i for i, cols in enumerate(combinations(columns, k - 1))}
+        levels.append(tuple(
+            tuple((row + c, s % 2 == 0, below[survivor_map(cols, s, repr_kind)]) for s, c in enumerate(cols, 1))
+            for cols in combinations(columns, k)
+        ))
+    return tuple(pairs), tuple(levels)
 
 
 def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -108,16 +114,18 @@ def _det_terms(n: int, repr_kind: ReprKind) -> tuple[tuple[int, tuple[int, ...]]
     `_telescope_schedule(n, repr_kind)` read bottom-up, as `_telescope_states`
     reads it in numbers: a pair gives (1, (p, q)) and (-1, (r, s)); a state puts
     each pivot offset in front of its child's products, flipping the sign at an
-    odd position. The last state's products are the table. The direct schedule
-    is read under the telescope's own cache key, so each size has one.
+    odd position. Only the level below is kept; the last level's one state
+    holds the table. The direct schedule is read under the telescope's own
+    cache key, so each size has one.
     """
-    pairs, states = _telescope_schedule(n) if repr_kind is ReprKind.DIRECT else _telescope_schedule(n, repr_kind)
-    products = [((1, (p, q)), (-1, (r, s))) for p, q, r, s in pairs]
-    for state in states:
-        products.append(tuple(
-            (-sign if odd else sign, (o, *offsets)) for o, odd, child in state for sign, offsets in products[child]
-        ))
-    return products[-1]
+    pairs, levels = _telescope_schedule(n) if repr_kind is ReprKind.DIRECT else _telescope_schedule(n, repr_kind)
+    below = [((1, (p, q)), (-1, (r, s))) for p, q, r, s in pairs]
+    for level in levels:
+        below = [
+            tuple((-sign if odd else sign, (o, *offsets)) for o, odd, child in state for sign, offsets in below[child])
+            for state in level
+        ]
+    return below[-1]
 
 
 @lru_cache(maxsize=None)
@@ -290,120 +298,105 @@ def closed_form_inverse(a: Matrix) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def _shared_prefix(n: int, r: int, s: int) -> tuple[int, ...]:
-    """Indices in the n x n pass of the states minor (r, s)'s pass shares with it.
+def _telescope_levels(n: int) -> tuple:
+    """`_telescope_schedule(n)` as n - 1 straight-line functions `level(data, below)`.
 
-    A state is the determinant of the last k rows on its columns, so on the
-    n - r rows below row r the minor's states are the parent's states on
-    the same original columns. These are the parent's tuples of 2..n - r
-    columns without s, in the parent's order; dropping s keeps that order,
-    so the list is the minor's own schedule prefix.
+    One per level k = 2..n, each returning its C(n, k) states in schedule
+    order from `below`, level k - 1's. Level 2 unpacks the last two rows
+    and forms each pair as `0j + dP * dQ - dR * dS`, reading no `below`.
+    Level k unpacks pivot row n - k + 1 and `below`, and forms each state
+    as `0j + (dO * bC if dO else 0j) - (dP * bD if dP else 0j) ...`, its
+    terms in schedule order. A sum that starts at +0+0j never holds a -0.0
+    part, so adding 0j at a zero pivot is skipping the term, inf and nan
+    children included.
     """
-    tuples = (cols for k in range(2, n - r + 1) for cols in combinations(range(1, n + 1), k))
-    return tuple(i for i, cols in enumerate(tuples) if s not in cols)
-
-
-@lru_cache(maxsize=None)
-def _telescope_levels(n: int) -> dict[int, tuple]:
-    """{states known: the level functions that evaluate the rest}, for size n.
-
-    `_telescope_schedule(n)` as n - 1 straight-line functions `level(data, v)`,
-    one per level k = 2..n, each returning its C(n, k) states in schedule
-    order. Level 2 unpacks the last two rows and forms each pair as
-    `0j + dP * dQ - dR * dS`. Level k unpacks pivot row n - k + 1 and level
-    k - 1's slice of v, and forms each state as
-    `0j + (dO * bC if dO else 0j) - (dP * bD if dP else 0j) ...`, its terms
-    in schedule order. A sum that starts at +0+0j never holds a -0.0 part,
-    so adding 0j at a zero pivot is skipping the term, inf and nan children
-    included.
-    """
-    pairs, states = _telescope_schedule(n)
+    pairs, levels = _telescope_schedule(n)
     base = (n - 2) * n
-    levels = [_function("level", "data, v", [
+    functions = [_function("level", "data, below", [
         f"{', '.join(f'd{o}' for o in range(2 * n))} = data[{base}:]",
         "return (",
         *(f"    0j + d{p - base} * d{q - base} - d{r - base} * d{s - base}," for p, q, r, s in pairs),
         ")",
     ])]
-    # level k's states are v[starts[k - 2] : starts[k - 1]]
-    starts = list(accumulate((comb(n, k) for k in range(2, n + 1)), initial=0))
-    for k in range(3, n + 1):
-        lo, mid, hi, row = starts[k - 3], starts[k - 2], starts[k - 1], (n - k) * n
-        levels.append(_function("level", "data, v", [
+    for k, level in enumerate(levels, 3):
+        row = (n - k) * n
+        functions.append(_function("level", "data, below", [
             f"{', '.join(f'd{c}' for c in range(n))} = data[{row}:{row + n}]",
-            f"{', '.join(f'b{i}' for i in range(mid - lo))} = v[{lo}:{mid}]",
+            f"{', '.join(f'b{i}' for i in range(comb(n, k - 1)))} = below",
             "return (",
             *(
                 "    0j" + "".join(
-                    f" {'-' if odd else '+'} (d{o - row} * b{child - lo} if d{o - row} else 0j)" for o, odd, child in state
+                    f" {'-' if odd else '+'} (d{o - row} * b{child} if d{o - row} else 0j)" for o, odd, child in state
                 ) + ","
-                for state in states[mid - len(pairs) : hi - len(pairs)]
+                for state in level
             ),
             ")",
         ]))
-    return {known: tuple(levels[i:]) for i, known in enumerate(starts[:-1])}
+    return tuple(functions)
 
 
-def _telescope_states(a: Matrix) -> list[complex]:
-    """Every state of `_telescope_schedule(a.n)` on `a`, the determinant last.
+def _telescope_states(a: Matrix) -> list[tuple[complex, ...]]:
+    """Every level of `_telescope_schedule(a.n)` on `a`, 2..n columns, the determinant last.
 
     A chain of first-row deletions leaves a minor named by the tuple of
-    its k surviving columns, on the last k rows of `a`. One pass over the
-    schedule evaluates each minor once, level by level through
-    `_telescope_levels`, bit for bit as the recursion `oracles.laplace_det`:
+    its k surviving columns, on the last k rows of `a`. One pass up the
+    levels of `_telescope_levels` evaluates each minor once, each level
+    from the one below, bit for bit as the recursion `oracles.laplace_det`:
     sums start from 0j and skip zero pivots, and subtracting a term is its
     `+= -term` exactly, as IEEE 754 defines x - y as x + (-y). The last
     state's children are the n first-row minors, which `_cofactors` reads,
     those behind zero pivots included.
     """
-    n, data = a.n, a.data
-    if n == 1:
-        return [data[0]]
-    v = []
-    for level in _telescope_levels(n)[0]:
-        v += level(data, v)
+    v, below = [], ()
+    for level in _telescope_levels(a.n):
+        below = level(a.data, below)
+        v.append(below)
     return v
 
 
-@lru_cache(maxsize=None)
-def _states_below(n: int, r: int) -> int:
-    """The states of the n x n pass on the rows below row r: its 2..n - r column tuples."""
-    return sum(comb(n, k) for k in range(2, n - r + 1))
-
-
-def _row_pass(a: Matrix, v: Sequence[complex], r: int) -> list[complex]:
-    """Row r's pass: at `_shared_prefix(n, 2, s)`, every state of minor (r, s) but its last.
+def _row_level(a: Matrix, v: Sequence[tuple[complex, ...]], r: int) -> tuple[complex, ...]:
+    """Row r's level of n - 2 columns, which holds each minor (r, s)'s level below its top.
 
     `_telescope_levels(a.n)` up to n - 2 columns, on `a` with row r on top,
-    which they never read; the levels of `v`, `a`'s pass, below r are copied.
+    which they never read, from the last level of `v`, `a`'s pass, below
+    row r: its levels of 2..n - r columns are reused as they are. At n = 3
+    there is no such level, and it is ().
     """
     n, data = a.n, a.data
-    w = v[: _states_below(n, r)]
+    known = max(n - r - 1, 0)  # v's levels below row r
+    below = v[known - 1] if known else ()
     moved = data[(r - 1) * n : r * n] + data[: (r - 1) * n] + data[r * n :]
-    for level in _telescope_levels(n)[len(w)][:-2]:
-        w += level(moved, w)
-    return w
+    for level in _telescope_levels(n)[known : n - 3]:
+        below = level(moved, below)
+    return below
 
 
 @lru_cache(maxsize=None)
 def _shared_reader(n: int, s: int):
-    """Reads `_shared_prefix(n, 2, s)` off a row pass: minor (r, s)'s states but its last."""
-    prefix = _shared_prefix(n, 2, s)
-    return itemgetter(*prefix) if prefix else lambda w: ()
+    """Reads minor (r, s)'s n - 1 states of n - 2 columns off `_row_level(a, v, r)`.
+
+    A state is the determinant of the last k rows on its columns, and minor
+    (r, s) reads original column kappa(t, s) at its column t, so its
+    tuples, in its own order, are row r's tuples without s. At n = 3 the
+    minors' top level is the pair form, which reads none.
+    """
+    if n == 3:
+        return lambda level: ()
+    return itemgetter(*(i for i, cols in enumerate(combinations(range(1, n + 1), n - 2)) if s not in cols))
 
 
-def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int]]) -> list[complex]:
+def _cofactors(a: Matrix, v: Sequence[tuple[complex, ...]], entries: Sequence[tuple[int, int]]) -> list[complex]:
     """The signed cofactors (-1)^(r+s) det(minor(a, r, s)) of `a`, one per (r, s) in entries.
 
-    `v` is the pass of `a`. Row 1's minors are its last state's children,
-    or at n = 2 the entries a[2][2] and a[2][1]. Every other minor is
-    extracted and its last state alone evaluated, by its size's top level
-    on the others, read off its row's `_row_pass` (for row 2 `v` itself):
-    at n = 3 the pair form, which reads none; at n = 2 it is one entry.
+    `v` is the pass of `a`. Row 1's minors are its last state's children in
+    the level below, or at n = 2 the entries a[2][2] and a[2][1]. Every
+    other minor is extracted and its last state alone evaluated, by its
+    size's top level on its level below, read off its row's `_row_level`;
+    at n = 2 it is one entry.
     """
     n, data = a.n, a.data
-    first_row = (data[3], data[2]) if n == 2 else [v[child] for _, _, child in _telescope_schedule(n)[1][-1]]
-    passes = {r: _row_pass(a, v, r) for r in {r for r, _ in entries if r > 2}}
+    first_row = (data[3], data[2]) if n == 2 else [v[-2][child] for _, _, child in _telescope_schedule(n)[1][-1][0]]
+    rows = {r: _row_level(a, v, r) for r in {r for r, _ in entries if r > 1}}
     out = []
     for r, s in entries:
         if r == 1:
@@ -411,7 +404,7 @@ def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int
         elif n == 2:
             numer = minor_by_formula(a, r, s).data[0]
         else:
-            numer = _telescope_levels(n - 1)[0][-1](minor_by_formula(a, r, s).data, _shared_reader(n, s)(passes.get(r, v)))[0]
+            numer = _telescope_levels(n - 1)[-1](minor_by_formula(a, r, s).data, _shared_reader(n, s)(rows[r]))[0]
         out.append(numer if (r + s) % 2 == 0 else -numer)
     return out
 
@@ -419,22 +412,23 @@ def _cofactors(a: Matrix, v: Sequence[complex], entries: Sequence[tuple[int, int
 def general_det(a: Matrix) -> complex:
     """Determinant by telescoping first-row expansion (sizes 2..GENERAL_SIZE_CAP)."""
     check_combination(a.n, Method.TELESCOPE, ReprKind.DIRECT)
-    return _finite(_telescope_states(a)[-1])
+    return _finite(_telescope_states(a)[-1][0])
 
 
 def element_inverse(a: Matrix, p: int, q: int) -> complex:
     """Single inverse entry: the (q, p) entry of the inverse of `a`.
 
     Computed directly as (-1)^(p+q) det(minor(a, p, q)) / det(a): one pass
-    over `a`, which at p = 1 already holds the minor, else row p's pass and
-    one level call for the minor's last state: never a full inverse.
+    over `a`, which at p = 1 already holds the minor, else row p's level of
+    n - 2 columns and one level call for the minor's last state: never a
+    full inverse.
     DomainError names the entry if it overflows.
     """
     _check_integer(p, "row index", 1, a.n)
     _check_integer(q, "column index", 1, a.n)
     check_combination(a.n, Method.TELESCOPE, ReprKind.DIRECT)
     v = _telescope_states(a)
-    det = _finite(v[-1])
+    det = _finite(v[-1][0])
     _guard_determinant(a, det)
     value = _cofactors(a, v, [(p, q)])[0] / det
     if not cmath.isfinite(value):
@@ -447,12 +441,13 @@ def general_inverse(a: Matrix) -> Matrix:
 
     The determinant's pass is read once by `_cofactors` for all n^2
     cofactors, in row-major order: row 1 off the pass itself, every other
-    row by one level call per minor on states read off its row pass.
+    row by one level call per minor on the states it reads off its row's
+    level of n - 2 columns, which starts from the pass's levels below it.
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)
     v = _telescope_states(a)
-    det = _finite(v[-1])
+    det = _finite(v[-1][0])
     _guard_determinant(a, det)
     cofactors = _cofactors(a, v, [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)])
     # inverse entry (s, r) is cofactor (r, s) over det

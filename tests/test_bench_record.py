@@ -287,8 +287,19 @@ class Matrix:
         self.n, self.data = n, data
 """
 
+STUB_DISCRETE = """
+from enum import Enum
+
+
+class ReprKind(Enum):
+    DIRECT = "direct"
+    GAMMA = "gamma"
+"""
+
 STUB_ENGINES = """
 import warnings
+
+from .discrete import ReprKind
 
 
 def general_det(a):
@@ -304,10 +315,14 @@ def element_inverse(a, p, q):
     return a.data[(p - 1) * a.n + q - 1]
 
 
-def closed_form_det(a):
+def closed_form_det(a, repr_kind=ReprKind.DIRECT):
     if a.n > 5:
         raise ValueError(f"size {{a.n}}")
-    return a.data[0]
+    return a.data[0] if repr_kind is ReprKind.DIRECT else a.data[-1]
+
+
+def expand_terms(n):
+    return tuple(range(n))
 
 
 closed_form_inverse = general_inverse
@@ -319,6 +334,7 @@ def stub_checkout(root, sign):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "matrices.py").write_text(STUB_MATRICES)
+    (package / "discrete.py").write_text(STUB_DISCRETE)
     (package / "engines.py").write_text(STUB_ENGINES.format(sign=sign))
     return root
 
@@ -332,13 +348,16 @@ def test_bits_reads_one_flipped_sign_as_differ(tmp_path):
     parent, change = stub_checkout(tmp_path / "parent", "-"), stub_checkout(tmp_path / "change", "+")
     code, lines = bits_lines(parent, change)
     assert code == 1
-    assert sorted(lines) == ["closed_form_det", "closed_form_inverse", "element_inverse", "general_det", "general_inverse"]
-    # 64 draws per size n = 2..8, and element_inverse at each of their n^2 entries
-    assert [lines[name][2] for name in sorted(lines)] == ["448", "448", "12992", "448", "448"]
+    names = ["closed_form_det", "closed_form_det/gamma", "closed_form_inverse", "element_inverse", "expand_terms", "general_det", "general_inverse"]
+    assert sorted(lines) == names
+    # 64 draws per size n = 2..8, element_inverse at each of their n^2
+    # entries, closed_form_det under each encoding but direct, and one
+    # expansion per size
+    assert [lines[name][2] for name in names] == ["448", "448", "448", "12992", "7", "448", "448"]
     assert lines["general_det"][-1] == "differ" and lines["general_det"][3] != lines["general_det"][6]
-    assert [lines[name][-1] for name in sorted(lines) if name != "general_det"] == ["identical"] * 4
+    assert [lines[name][-1] for name in names if name != "general_det"] == ["identical"] * 6
     code, lines = bits_lines(parent, parent)
-    assert code == 0 and [line[-1] for line in lines.values()] == ["identical"] * 5
+    assert code == 0 and [line[-1] for line in lines.values()] == ["identical"] * 7
 
 
 def test_an_outcome_is_the_value_and_its_warnings_or_the_exception():

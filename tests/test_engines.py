@@ -566,7 +566,7 @@ def test_each_kernel_is_compiled_once(compiled):
     # one det kernel per (n, encoding), two cofactor-row kernels per n
     assert len(kernels) == 11 + 2 * 4
     # n - 1 level functions per telescope size, 2..8, each compiled once
-    assert [len(engines._telescope_levels(n)[0]) for n in range(2, 9)] == list(range(1, 8))
+    assert [len(engines._telescope_levels(n)) for n in range(2, 9)] == list(range(1, 8))
     assert len(levels) == sum(range(1, 8))
 
 
@@ -745,16 +745,17 @@ def every_state_cases():
 
 @pytest.mark.parametrize("a, overflows", every_state_cases())
 def test_every_telescope_state_is_its_blocks_laplace_det(a, overflows):
-    # state i names the i-th ascending column tuple of 2..n columns, by
-    # length; its value is the determinant of the last k rows of a on those
-    # k columns, bit for bit, including the states no determinant reads
+    # state i of level k names the i-th ascending tuple of k columns; its
+    # value is the determinant of the last k rows of a on those k columns,
+    # bit for bit, including the states no determinant reads
     from minorform.engines import _telescope_states
 
     n = a.n
+    levels = _telescope_states(a)
+    assert [len(level) for level in levels] == [math.comb(n, k) for k in range(2, n + 1)]
     blocks = [cols for k in range(2, n + 1) for cols in combinations(range(1, n + 1), k)]
-    states = _telescope_states(a)
-    assert len(states) == len(blocks)
-    for cols, state in zip(blocks, states):
+    states = [state for level in levels for state in level]
+    for cols, state in zip(blocks, states, strict=True):
         k = len(cols)
         block = Matrix(k, tuple(a.entry(r, c) for r in range(n - k + 1, n + 1) for c in cols))
         assert repr(state) == repr(laplace_det(block)), cols
@@ -762,18 +763,18 @@ def test_every_telescope_state_is_its_blocks_laplace_det(a, overflows):
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_shared_prefix_is_the_minors_schedule_prefix_relabeled(n):
+def test_a_minors_reader_picks_its_relabeled_tuples(n):
     # minor (r, s) reads original column kappa(t, s) at its column t, so its
-    # tuples of 2..n - r columns, in its own schedule order, are these parent
-    # states, on the same last rows
-    from minorform.engines import _shared_prefix
+    # tuples of n - 2 columns, in its own schedule order, are these of its
+    # row's level, on the same last rows; at n = 3 its top level, the pair
+    # form, reads none
+    from minorform.engines import _shared_reader
     from minorform.indices import kappa
 
-    parent = {cols: i for i, cols in enumerate(c for k in range(2, n + 1) for c in combinations(range(1, n + 1), k))}
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            minor = [cols for k in range(2, n - r + 1) for cols in combinations(range(1, n), k)]
-            assert _shared_prefix(n, r, s) == tuple(parent[tuple(kappa(t, s) for t in cols)] for cols in minor)
+    row = list(combinations(range(1, n + 1), n - 2))
+    for s in range(1, n + 1):
+        minor = [tuple(kappa(t, s) for t in cols) for cols in combinations(range(1, n), n - 2)] if n > 3 else []
+        assert _shared_reader(n, s)(row) == tuple(minor)
 
 
 def shared_pass_cases():
@@ -789,15 +790,14 @@ def shared_pass_cases():
 @pytest.mark.parametrize("a", shared_pass_cases())
 def test_minor_passes_from_shared_states_are_the_unshared_passes(a):
     # each cofactor is read off a pass that starts from the determinant
-    # pass's states; it must be the minor telescoped from scratch, bit for bit
-    from minorform.engines import _telescope_states
-
+    # pass's states; it must be the minor's recursive Laplace determinant,
+    # which the telescope is bit for bit, 1x1 minors included
     n = a.n
     det = general_det(a)
     expected = [[0j] * n for _ in range(n)]
     for r in range(1, n + 1):
         for s in range(1, n + 1):
-            numer = _telescope_states(minor_by_formula(a, r, s))[-1]
+            numer = laplace_det(minor_by_formula(a, r, s))
             expected[s - 1][r - 1] = (numer if (r + s) % 2 == 0 else -numer) / det
     entries = [v for row in expected for v in row]
     with warnings.catch_warnings():
@@ -818,22 +818,20 @@ def test_minor_passes_from_shared_states_are_the_unshared_passes(a):
 
 
 def level_calls(monkeypatch):
-    """Every level function call from here on, as (size, states known, states returned)."""
+    """Every level function call from here on, as (size, columns, states below, states returned)."""
     import minorform.engines as engines
 
     cached, calls = engines._telescope_levels, []
 
-    def counted(n, level):
-        def call(data, v):
-            states = level(data, v)
-            calls.append((n, len(v), len(states)))
+    def counted(n, k, level):
+        def call(data, below):
+            states = level(data, below)
+            calls.append((n, k, len(below), len(states)))
             return states
 
         return call
 
-    monkeypatch.setattr(
-        engines, "_telescope_levels", lambda n: {k: tuple(counted(n, f) for f in fs) for k, fs in cached(n).items()}
-    )
+    monkeypatch.setattr(engines, "_telescope_levels", lambda n: tuple(counted(n, k, f) for k, f in enumerate(cached(n), 2)))
     return calls
 
 
@@ -842,11 +840,13 @@ def work(calls):
     from minorform.engines import _telescope_schedule
 
     products = pair_forms = 0
-    for m, known, count in calls:
-        pairs, states = _telescope_schedule(m)
-        if known:
-            products += sum(map(len, states[known - len(pairs) : known - len(pairs) + count]))
+    for m, k, _, count in calls:
+        pairs, levels = _telescope_schedule(m)
+        if k > 2:
+            assert count == len(levels[k - 3])
+            products += sum(map(len, levels[k - 3]))
         else:
+            assert count == len(pairs)
             pair_forms += count
     return products, pair_forms
 
@@ -858,27 +858,27 @@ def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
     passes = []
 
     def recorded(a):
-        states = telescope(a)
-        passes.append((a.n, len(states)))
-        return states
+        levels = telescope(a)
+        passes.append((a.n, sum(map(len, levels))))
+        return levels
 
     monkeypatch.setattr(engines, "_telescope_states", recorded)
     calls = level_calls(monkeypatch)
     general_inverse(random_matrix(6, seed=66))
     # only the determinant's pass runs whole
     assert passes == [(6, 2**6 - 6 - 1)]
-    # after its 5 level calls, the row passes of rows 3..6 make 9, and each
-    # minor one call of its top level from its 25 shared states (84 with no
-    # row pass)
+    # after its 5 level calls, the row levels of rows 3..6 make 9, and each
+    # minor one call of its top level from its 5 states of 4 columns (84
+    # states below with no row pass)
     assert len(calls) == 5 + 39
-    assert calls[-30:] == [(5, 25, 1)] * 30
+    assert calls[-30:] == [(5, 5, 5, 1)] * 30
     # row passes and minor levels together; (1170, 120) when each minor pass
     # started from the determinant pass's shared states, (1650, 300) with no
     # state shared
     assert work(calls[5:]) == (570, 30)
     calls.clear()
     element_inverse(random_matrix(6, seed=66), 2, 5)
-    assert calls[5:] == [(5, 25, 1)]
+    assert calls[5:] == [(5, 5, 5, 1)]
     calls.clear()
     element_inverse(random_matrix(6, seed=66), 1, 3)
     assert calls[5:] == []
@@ -895,17 +895,18 @@ def row_pass_cases():
 
 @pytest.mark.parametrize("a", row_pass_cases())
 def test_a_row_pass_holds_its_minors_states(a):
-    # row r's pass, read at _shared_prefix(n, 2, s), is every state of minor
-    # (r, s) but its last, telescoped from scratch, bit for bit
-    from minorform.engines import _row_pass, _shared_prefix, _telescope_states
+    # row r's level, read by _shared_reader(n, s), is minor (r, s)'s level
+    # below its last state, telescoped from scratch, bit for bit; at n = 3
+    # the minor's last state is a pair, with no level below
+    from minorform.engines import _row_level, _shared_reader, _telescope_states
 
     n = a.n
     v = _telescope_states(a)
     for r in range(2, n + 1):
-        w = _row_pass(a, v, r)
+        level = _row_level(a, v, r)
         for s in range(1, n + 1):
-            expected = _telescope_states(minor_by_formula(a, r, s))[:-1]
-            assert repr([w[i] for i in _shared_prefix(n, 2, s)]) == repr(expected), (r, s)
+            expected = _telescope_states(minor_by_formula(a, r, s))[-2] if n > 3 else ()
+            assert repr(_shared_reader(n, s)(level)) == repr(expected), (r, s)
 
 
 def test_row_passes_share_each_rows_states_at_8x8(monkeypatch):
@@ -924,11 +925,12 @@ def test_telescope_schedule_is_built_once_per_size():
     for seed in range(3):
         general_inverse(random_matrix(6, seed=62 + seed))
     assert _telescope_schedule.cache_info().misses == 2  # the 6x6 and its 5x5 minors
-    pairs, states = _telescope_schedule(6)
-    assert len(pairs) + len(states) == 2**6 - 6 - 1
-    # every state reads only states before it, and the last is all six columns
-    assert all(child < len(pairs) + i for i, state in enumerate(states) for _, _, child in state)
-    assert [offset for offset, _, _ in states[-1]] == list(range(6))
+    pairs, levels = _telescope_schedule(6)
+    assert len(pairs) + sum(map(len, levels)) == 2**6 - 6 - 1
+    # every state reads only the level below, and the last is all six columns
+    below = [len(pairs), *map(len, levels)]
+    assert all(0 <= child < below[k] for k, level in enumerate(levels) for state in level for _, _, child in state)
+    assert len(levels[-1]) == 1 and [offset for offset, _, _ in levels[-1][0]] == list(range(6))
 
 
 def test_tables_and_telescope_share_one_schedule_per_size():

@@ -8,7 +8,10 @@ and of the warnings raised as (category name, message), or of the
 exception's type name and message. The engines are `general_det`,
 `general_inverse`, `element_inverse` at every (p, q), `closed_form_det`
 and `closed_form_inverse`, each on every draw at n = 2..8, uncovered
-sizes included. The draws come from `random.Random`, seeded per size:
+sizes included. `closed_form_det/<encoding>` is `closed_form_det(a,
+encoding)` on the same draws under each other `ReprKind`, uncovered
+combinations included, and `expand_terms` is `expand_terms(n)` for
+n = 2..8, the symbolic table behind them. The draws come from `random.Random`, seeded per size:
 real and complex N(0,1) entries, entries whose parts are 0.0, -0.0, 1,
 -1, 2.5 or 3, and those with 1 to 4 parts replaced by ±1e300, 1e-300,
 1e200 or 1.5e308. `bench_record.py bits` runs it once per checkout, in a
@@ -23,6 +26,7 @@ import random
 import warnings
 
 from minorform import engines
+from minorform.discrete import ReprKind
 from minorform.matrices import Matrix
 
 SMALL = (0.0, -0.0, 1.0, -1.0, 2.5, 3.0)
@@ -60,11 +64,15 @@ def main() -> None:
         entry[0] += 1
         entry[1].update(text.encode() + b"\n")
 
+    encodings = [kind for kind in ReprKind if kind is not ReprKind.DIRECT]
     for n in range(2, 9):
+        record("expand_terms", outcome(engines.expand_terms, n))
         for data in draws(n):
             a = Matrix(n, tuple(data))
             for name in ("general_det", "general_inverse", "closed_form_det", "closed_form_inverse"):
                 record(name, outcome(getattr(engines, name), a))
+            for kind in encodings:
+                record(f"closed_form_det/{kind.value}", outcome(engines.closed_form_det, a, kind))
             for p in range(1, n + 1):
                 for q in range(1, n + 1):
                     record("element_inverse", outcome(engines.element_inverse, a, p, q))
