@@ -868,11 +868,11 @@ def test_minor_passes_evaluate_only_the_states_below_their_row(monkeypatch):
     # only the determinant's pass runs whole
     assert passes == [(6, 2**6 - 6 - 1)]
     # after its 5 level calls, the row levels of rows 3..6 make 9, and each
-    # minor one call of its top level from its 5 states of 4 columns (84
-    # states below with no row pass)
+    # minor one call of its top level on its 5 states of 4 columns (84
+    # calls with no row pass)
     assert len(calls) == 5 + 39
     assert calls[-30:] == [(5, 5, 5, 1)] * 30
-    # row passes and minor levels together; (1170, 120) when each minor pass
+    # row levels and minor calls together; (1170, 120) when each minor pass
     # started from the determinant pass's shared states, (1650, 300) with no
     # state shared
     assert work(calls[5:]) == (570, 30)
