@@ -138,6 +138,12 @@ def minor_by_formula(a: Matrix, row: int, col: int) -> Matrix:
     return Matrix._of_checked(a.n - 1, _minor_offsets(a.n, row, col)(a.data))
 
 
+def _check_complex_entries(complex_entries: bool) -> None:
+    """complex_entries is a bool; a truthy stand-in such as "no" is refused."""
+    if not isinstance(complex_entries, bool):
+        raise DomainError(f"complex_entries must be a bool, got {complex_entries!r}")
+
+
 def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:
     """Matrix of standard normal entries drawn from SplitMix64(seed).
 
@@ -147,6 +153,7 @@ def random_matrix(n: int, seed: int, complex_entries: bool = False) -> Matrix:
     """
     _check_integer(n, "matrix size", 1)
     gen = SplitMix64(seed)
+    _check_complex_entries(complex_entries)
     if complex_entries:
         draws = gen.normals(2 * n * n)
         return Matrix._of_checked(n, tuple(map(complex, draws[::2], draws[1::2])))

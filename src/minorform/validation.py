@@ -23,7 +23,7 @@ from .engines import (
     general_inverse,
 )
 from .errors import DomainError, FrozenRecord, NearSingularWarning, SingularMatrixError, UnsupportedCombinationError, _check_integer
-from .matrices import Matrix, random_matrix, sparse_case, _format_float
+from .matrices import Matrix, _check_complex_entries, random_matrix, sparse_case, _format_float
 from .oracles import cofactor_inverse, gauss_inverse, leibniz_det
 from .rng import stream_seed
 
@@ -55,8 +55,7 @@ class TrialConfig(FrozenRecord):
         _check_integer(trials, "trials", 1)
         _check_integer(size, "size")
         _check_integer(seed, "seed")
-        if not isinstance(complex_entries, bool):
-            raise DomainError(f"complex_entries must be a bool, got {complex_entries!r}")
+        _check_complex_entries(complex_entries)
         if not 2 <= size <= GENERAL_SIZE_CAP:
             raise UnsupportedCombinationError(f"harness sizes run 2..{GENERAL_SIZE_CAP}, got {size}")
         check_combination(size, method, ReprKind.DIRECT)

@@ -375,3 +375,18 @@ def test_an_outcome_is_the_value_and_its_warnings_or_the_exception():
     assert outcomes.outcome(warned) == repr((-0.0, [("UserWarning", "tiny")]))
     assert outcomes.outcome(lambda: 1 / 0) == repr(("ZeroDivisionError", "division by zero"))
     assert outcomes.outcome(complex, 0.0) != outcomes.outcome(complex, -0.0)
+
+
+def test_the_harness_sets_hash_draws_and_reports_without_an_exception():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bits_outcomes", SCRIPT.with_name("bits_outcomes.py"))
+    outcomes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outcomes)
+    texts = {}
+    outcomes.record_harness(lambda name, text: texts.setdefault(name, []).append(text))
+    # n = 1..8 on four seeds, real and complex; four harness configurations
+    assert {name: len(found) for name, found in texts.items()} == {"random_matrix": 64, "run_trials": 4}
+    # a value with no warnings, never an exception's (name, message)
+    assert all(text.endswith(", [])") for found in texts.values() for text in found)
+    assert all('"redraws": ' in text and "bin_lo_db,bin_hi_db,count" in text for text in texts["run_trials"])

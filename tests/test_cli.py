@@ -373,6 +373,23 @@ def test_golden_commands_repeat_byte_for_byte_in_one_process(capsys, tmp_path, n
     assert first[1].encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        # 100 words per draw: a full 64-lane block and a 36-lane one
+        ("validate_trials_200_size_5_seed_11_complex", ("--trials", "200", "--size", "5", "--seed", "11", "--complex")),
+        # 128 words per draw: two full blocks
+        ("validate_trials_50_size_8_telescope_seed_2", ("--trials", "50", "--size", "8", "--method", "telescope", "--seed", "2")),
+    ],
+)
+def test_validate_stdout_and_histogram_csv_match_golden_bytes(capsys, tmp_path, name, argv):
+    csv = tmp_path / "h.csv"
+    code, out, _ = run_cli(capsys, "validate", *argv, "--out", str(csv))
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
+    assert csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 def test_the_parser_is_built_once_and_not_at_import():
     assert cli._build_parser() is cli._build_parser()
     assert cli._build_parser.cache_info().misses <= 1

@@ -71,6 +71,16 @@ def test_random_matrix_refuses_a_seed_that_is_not_an_integer():
         random_matrix(3, 1.5)
 
 
+@pytest.mark.parametrize("bad", ["no", 1, 0, None], ids=repr)
+def test_random_matrix_refuses_complex_entries_that_is_not_a_bool(bad):
+    # the message is TrialConfig's, from the one rule both follow
+    message = f"complex_entries must be a bool, got {bad!r}"
+    with pytest.raises(DomainError, match=message):
+        random_matrix(3, 1, bad)
+    with pytest.raises(DomainError, match=message):
+        TrialConfig(trials=2, size=3, complex_entries=bad)
+
+
 def test_matrix_stores_a_tuple_of_exact_complex():
     class Sub(complex):
         pass

@@ -78,3 +78,31 @@ def test_normals_of_seed_zero_are_frozen():
 def test_normals_refuses_a_count_that_is_not_a_non_negative_integer(bad):
     with pytest.raises(DomainError, match=f"normal count must be a non-negative integer, got {bad!r}"):
         SplitMix64(0).normals(bad)
+
+
+def scalar_normals(gen, count):
+    """Box-Muller written out here, two next_uint64() words per normal."""
+    out = []
+    for _ in range(count):
+        u1 = ((gen.next_uint64() >> 11) + 1) * 2.0**-53
+        u2 = (gen.next_uint64() >> 11) * 2.0**-53
+        out.append(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**63, 2**64 - 1, 2**70 + 3])
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 64, 65, 200])
+def test_normals_match_the_scalar_word_by_word_reference(seed, count):
+    # 32 normals fill one 64-lane block, so 31..33 and 64..65 cross its edges
+    lanes, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert list(map(repr, lanes.normals(count))) == list(map(repr, scalar_normals(scalar, count)))
+    assert [lanes.next_uint64() for _ in range(3)] == [scalar.next_uint64() for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**64 - 1])
+@pytest.mark.parametrize("first, second", [(1, 32), (31, 2), (32, 33), (20, 50)])
+def test_normals_split_across_a_block_edge_equal_one_call(seed, first, second):
+    split, whole = SplitMix64(seed), SplitMix64(seed)
+    drawn = split.normals(first) + split.normals(second)
+    assert list(map(repr, drawn)) == list(map(repr, whole.normals(first + second)))
+    assert [split.next_uint64() for _ in range(3)] == [whole.next_uint64() for _ in range(3)]

@@ -1,11 +1,11 @@
-"""Print the sha256 of every engine outcome on a fixed set of draws.
+"""Print the sha256 of every engine and harness outcome on fixed inputs.
 
     PYTHONPATH=CHECKOUT/src python3 tools/bits_outcomes.py
 
 Imports `minorform` from the path and prints one JSON object,
-{engine: [outcome count, sha256]}. An outcome is the `repr` of the value
+{set: [outcome count, sha256]}. An outcome is the `repr` of the value
 and of the warnings raised as (category name, message), or of the
-exception's type name and message. The engines are `general_det`,
+exception's type name and message. The engine sets are `general_det`,
 `general_inverse`, `element_inverse` at every (p, q), `closed_form_det`
 and `closed_form_inverse`, each on every draw at n = 2..8, uncovered
 sizes included. `closed_form_det/<encoding>` is `closed_form_det(a,
@@ -14,13 +14,23 @@ combinations included, and `expand_terms` is `expand_terms(n)` for
 n = 2..8, the symbolic table behind them. The draws come from `random.Random`, seeded per size:
 real and complex N(0,1) entries, entries whose parts are 0.0, -0.0, 1,
 -1, 2.5 or 3, and those with 1 to 4 parts replaced by ±1e300, 1e-300,
-1e200 or 1.5e308. `bench_record.py bits` runs it once per checkout, in a
-fresh interpreter. Standard library only.
+1e200 or 1.5e308.
+
+The harness sets cover the program's own generator and the Monte-Carlo
+harness: `random_matrix` is `random_matrix(n, seed, complex_entries)` for
+n = 1..8, seeds 0, 1, -1 and 2^64 - 1, real and complex, and `run_trials`
+is the `summary_json` and `histogram_csv` of `run_trials` for the
+closed form at 5x5, the telescope at 6x6, the cofactor oracle at 4x4 and
+the closed form on complex 3x3 draws. A checkout without
+`minorform.validation` gets the engine sets alone. `bench_record.py
+bits` runs this script once per checkout, in a fresh interpreter.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 import warnings
@@ -32,6 +42,8 @@ from minorform.matrices import Matrix
 SMALL = (0.0, -0.0, 1.0, -1.0, 2.5, 3.0)
 EXTREME = (1e300, -1e300, 1e-300, 1e200, 1.5e308)
 DRAWS_PER_KIND = 16
+HARNESS_SEEDS = (0, 1, -1, 2**64 - 1)
+HARNESS_TRIALS = 100
 
 
 def draws(n: int):
@@ -56,6 +68,32 @@ def outcome(call, *args) -> str:
     return repr((value, [(type(w.message).__name__, str(w.message)) for w in caught]))
 
 
+def record_harness(record) -> None:
+    """Record the `random_matrix` and `run_trials` sets, if the checkout has the harness."""
+    if importlib.util.find_spec("minorform.validation") is None:
+        return
+    from minorform.engines import Method
+    from minorform.matrices import random_matrix
+    from minorform.validation import TrialConfig, histogram_csv, run_trials, summary_json
+
+    def reports(cfg: TrialConfig) -> tuple[str, str]:
+        report = run_trials(cfg)
+        return summary_json(report), histogram_csv(report)
+
+    for n in range(1, 9):
+        for seed in HARNESS_SEEDS:
+            for complex_entries in (False, True):
+                record("random_matrix", outcome(random_matrix, n, seed, complex_entries))
+    for method, size, complex_entries in (
+        (Method.CLOSED_FORM, 5, False),
+        (Method.TELESCOPE, 6, False),
+        (Method.ORACLE, 4, False),
+        (Method.CLOSED_FORM, 3, True),
+    ):
+        cfg = TrialConfig(HARNESS_TRIALS, size, 3000 + size, method, complex_entries)
+        record("run_trials", outcome(reports, cfg))
+
+
 def main() -> None:
     hashes: dict[str, list] = {}
 
@@ -76,6 +114,7 @@ def main() -> None:
             for p in range(1, n + 1):
                 for q in range(1, n + 1):
                     record("element_inverse", outcome(engines.element_inverse, a, p, q))
+    record_harness(record)
     print(json.dumps({name: [count, sha.hexdigest()] for name, (count, sha) in hashes.items()}))
 
 
