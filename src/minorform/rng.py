@@ -7,8 +7,9 @@ reproducible byte for byte.
 
 `normals` scrambles its words in blocks of up to 64, each word in its own
 128-bit lane of one Python int: word i of a block sits in bits 128*i to
-128*i + 63, and the upper 64 bits of every lane are zero. The scramble
-masks every shift and product to the lanes' low halves, so a shift never
+128*i + 127. A lane's state, state + (i + 1) * gamma, stays below 2^71,
+and the scramble's first mask reduces it mod 2^64. The scramble then
+masks every shift and product to the lanes' low 64 bits, so a shift never
 brings a neighbour's bits in, and a 64-bit word times a 64-bit constant
 stays below 2^128, so a product never carries into the next lane. Each
 lane therefore ends as exactly the word the scalar scramble gives.
