@@ -21,8 +21,9 @@ harness: `random_matrix` is `random_matrix(n, seed, complex_entries)` for
 n = 1..8, seeds 0, 1, -1 and 2^64 - 1, real and complex, and `run_trials`
 is the `summary_json` and `histogram_csv` of `run_trials` for the
 closed form at 5x5, the telescope at 6x6, the cofactor oracle at 4x4 and
-the closed form on complex 3x3 draws. A checkout without
-`minorform.validation` gets the engine sets alone. `bench_record.py
+the closed form on complex 3x3 draws, 100 trials each from seed 3000 +
+size. A checkout without `minorform.validation`, such as an engines-only
+stub, gets the engine sets alone. `bench_record.py
 bits` runs this script once per checkout, in a fresh interpreter.
 Standard library only.
 """
