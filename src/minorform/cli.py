@@ -87,6 +87,12 @@ def _add_matrix_source(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_input(path: str) -> bytes:
+    """The --input file's bytes, unbuffered; the name is read as pathlib reads it ("" as ".")."""
+    with open(Path(path), "rb", buffering=0) as f:
+        return f.read()
+
+
 def _load_matrix(args, repr_kind: ReprKind = ReprKind.DIRECT) -> tuple[Matrix, Method]:
     """The matrix and method of a det/invert call, checked with the encoding.
 
@@ -95,7 +101,7 @@ def _load_matrix(args, repr_kind: ReprKind = ReprKind.DIRECT) -> tuple[Matrix, M
     """
     a = None
     if args.input is not None:
-        a = parse_matrix(Path(args.input).read_bytes())
+        a = parse_matrix(_read_input(args.input))
         n = a.n
     else:
         n = args.random
@@ -147,7 +153,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    a = parse_matrix(Path(args.input).read_bytes())
+    a = parse_matrix(_read_input(args.input))
     extract = minor_by_deletion if args.by == "deletion" else minor_by_formula
     print(write_matrix(extract(a, args.row, args.col)).decode("ascii"))
     return EXIT_OK

@@ -179,32 +179,41 @@ def sparse_case(case_id: int, values) -> Matrix:
     return Matrix(5, tuple(data))
 
 
+_FIELD = "%.16e"  # 17 significant digits round-trip every binary64 exactly
+
+
 def _format_float(x: float) -> str:
-    # 17 significant digits round-trips every binary64 exactly
-    return format(x, ".16e")
+    return _FIELD % x
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int) -> str:
+    """The `%` template of `write_matrix` at size n: n x n fields of re, then of im."""
+    block = "[" + ", ".join(["[" + ", ".join([_FIELD] * n) + "]"] * n) + "]"
+    return f'{{"n": {n}, "re": {block}, "im": {block}}}'
 
 
 def write_matrix(a: Matrix) -> bytes:
     """Serialize to canonical one-line JSON with exact float round-trip."""
-    rows = a.rows()
-    re_rows = ", ".join("[" + ", ".join(_format_float(v.real) for v in row) + "]" for row in rows)
-    im_rows = ", ".join("[" + ", ".join(_format_float(v.imag) for v in row) + "]" for row in rows)
-    return f'{{"n": {a.n}, "re": [{re_rows}], "im": [{im_rows}]}}'.encode("ascii")
+    data = a.data
+    return (_layout(a.n) % (*[v.real for v in data], *[v.imag for v in data])).encode("ascii")
 
 
-def _require_number(value, where: str) -> float:
+def _require_number(value, key: str, i: int, j: int) -> float:
+    """value as a finite float; the location "key"[i][j] is written only into an error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where} must be a number, got {value!r}")
+        raise ParseError(f'"{key}"[{i}][{j}] must be a number, got {value!r}')
     try:
         value = float(value)
     except OverflowError:
-        raise ParseError(f"{where} is out of floating-point range") from None
+        raise ParseError(f'"{key}"[{i}][{j}] is out of floating-point range') from None
     if not math.isfinite(value):
-        raise ParseError(f"{where} must be finite, got {value!r}")
+        raise ParseError(f'"{key}"[{i}][{j}] must be finite, got {value!r}')
     return value
 
 
-def _parse_component(obj: dict, key: str, n: int, required: bool) -> list[list[float]] | None:
+def _parse_component(obj: dict, key: str, n: int, required: bool) -> list[float] | None:
+    """The n x n block obj[key] as a flat row-major list of finite floats."""
     if key not in obj:
         if required:
             raise ParseError(f'missing required key "{key}"')
@@ -216,7 +225,8 @@ def _parse_component(obj: dict, key: str, n: int, required: bool) -> list[list[f
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f'"{key}"[{i}] must be a list of {n} numbers')
-        out.append([_require_number(v, f'"{key}"[{i}][{j}]') for j, v in enumerate(row)])
+        for j, value in enumerate(row):
+            out.append(_require_number(value, key, i, j))
     return out
 
 
@@ -250,11 +260,6 @@ def parse_matrix(text: bytes | str) -> Matrix:
     n = obj.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
-    re_rows = _parse_component(obj, "re", n, required=True)
-    im_rows = _parse_component(obj, "im", n, required=False)
-    if im_rows is None:
-        im_rows = [[0.0] * n for _ in range(n)]
-    data = tuple(
-        complex(re_rows[i][j], im_rows[i][j]) for i in range(n) for j in range(n)
-    )
-    return Matrix._of_checked(n, data)
+    re = _parse_component(obj, "re", n, required=True)
+    im = _parse_component(obj, "im", n, required=False)
+    return Matrix._of_checked(n, tuple(map(complex, re) if im is None else map(complex, re, im)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, SingularMatrixError, UnsupportedCombinationError
@@ -139,18 +140,20 @@ def residual_max_abs(a: Matrix, x: Matrix) -> float:
     """
     if a.n != x.n:
         raise DomainError("residual requires matrices of equal size")
-    n = a.n
+    n, data = a.n, a.data
     columns = [x.data[c::n] for c in range(n)]
     worst = 0.0
-    for r, row in enumerate(a.rows()):
+    for r in range(n):
+        row = data[r * n : r * n + n]
         for c, column in enumerate(columns):
-            acc = sum(p * q for p, q in zip(row, column))
+            acc = sum(map(mul, row, column))
             if r == c:
                 acc -= 1.0
             size = _modulus(acc)
             if not size < math.inf:
                 raise DomainError(f"residual entry ({r + 1}, {c + 1}) of A X - I is {acc!r}: out of double range")
-            worst = max(worst, size)
+            if size > worst:
+                worst = size
     return worst
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,7 +31,7 @@ from minorform import (
 )
 from minorform.discrete import ReprKind, _Variant
 from minorform.engines import Method
-from minorform.matrices import SPARSE_PATTERNS
+from minorform.matrices import SPARSE_PATTERNS, _format_float
 
 
 def rows_of(m):
@@ -323,6 +324,39 @@ def test_round_trip_extreme_magnitudes():
         assert bits(u.real) == bits(v.real)
 
 
+@st.composite
+def finite_matrices(draw):
+    """n = 1..8, every part a finite float: subnormals, signed zeros and +-max included."""
+    n = draw(st.integers(1, 8))
+    parts = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2 * n * n, max_size=2 * n * n))
+    return Matrix(n, tuple(map(complex, parts[::2], parts[1::2])))
+
+
+def field_by_field_layout(a):
+    """write_matrix's layout, each field written by _format_float on its own."""
+
+    def block(parts):
+        rows = (parts[r * a.n : (r + 1) * a.n] for r in range(a.n))
+        return "[" + ", ".join("[" + ", ".join(map(_format_float, row)) + "]" for row in rows) + "]"
+
+    re = block([v.real for v in a.data])
+    im = block([v.imag for v in a.data])
+    return f'{{"n": {a.n}, "re": {re}, "im": {im}}}'.encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_matrices())
+@example(Matrix(1, (complex(-0.0, -0.0),)))
+@example(Matrix(2, (complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(sys.float_info.max, -sys.float_info.max), complex(0.0, -0.0))))
+@example(Matrix(3, tuple(complex(-sys.float_info.min / 2**k, 2.0**-1074 * k) for k in range(9))))
+def test_write_matrix_is_the_field_by_field_layout_and_parses_back_bit_for_bit(a):
+    text = write_matrix(a)
+    assert text == field_by_field_layout(a)
+    b = parse_matrix(text)
+    assert b.n == a.n
+    assert [(bits(v.real), bits(v.imag)) for v in b.data] == [(bits(v.real), bits(v.imag)) for v in a.data]
+
+
 def test_parse_accepts_missing_imaginary_block():
     m = parse_matrix(b'{"n": 2, "re": [[1, 2], [3, 4]]}')
     assert m.data == (1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j)
@@ -355,6 +389,24 @@ def test_parse_reports_line_and_column_for_bad_json():
 def test_parse_rejects_malformed_payloads(payload):
     with pytest.raises(ParseError):
         parse_matrix(payload)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b'{"n": 1, "re": [["x"]]}', "\"re\"[0][0] must be a number, got 'x'"),
+        (b'{"n": 1, "re": [[true]]}', '"re"[0][0] must be a number, got True'),
+        (b'{"n": 1, "re": [[Infinity]]}', '"re"[0][0] must be finite, got inf'),
+        (b'{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [NaN, 0]]}', '"im"[1][0] must be finite, got nan'),
+        (b'{"n": 1, "re": [[1' + b"0" * 400 + b"]]}", '"re"[0][0] is out of floating-point range'),
+        # a bad number in an early row is named before a short later row
+        (b'{"n": 2, "re": [[1, null], [3]]}', '"re"[0][1] must be a number, got None'),
+    ],
+)
+def test_parse_names_the_first_bad_number_by_its_location(payload, message):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(payload)
+    assert str(err.value) == message
 
 
 def test_parse_rejects_non_utf8():
