@@ -360,6 +360,66 @@ def test_bits_reads_one_flipped_sign_as_differ(tmp_path):
     assert code == 0 and [line[-1] for line in lines.values()] == ["identical"] * 7
 
 
+STUB_HARNESS = {
+    "matrices.py": """
+
+def random_matrix(n, seed, complex_entries=False):
+    return n, seed, complex_entries
+""",
+    "engines.py": """
+
+from enum import Enum
+
+
+class Method(Enum):
+    CLOSED_FORM = "closed"
+    TELESCOPE = "telescope"
+    ORACLE = "oracle"
+""",
+    "validation.py": """
+class TrialConfig:
+    def __init__(self, *fields):
+        self.fields = fields
+
+
+def run_trials(cfg):
+    return cfg.fields
+
+
+def summary_json(report):
+    return repr(report)
+
+
+def histogram_csv(report):
+    return ""
+""",
+}
+
+
+def harness_stub_checkout(root):
+    """The engines-only stub with a harness added, so that it records `random_matrix` and `run_trials` too."""
+    package = stub_checkout(root, "-") / "src" / "minorform"
+    for name, text in STUB_HARNESS.items():
+        path = package / name
+        path.write_text((path.read_text() if path.exists() else "") + text)
+    return root
+
+
+def test_bits_names_a_set_on_one_side_only_and_exits_1(tmp_path):
+    stub, harness = stub_checkout(tmp_path / "stub", "-"), harness_stub_checkout(tmp_path / "harness")
+    engine_sets = ["closed_form_det", "closed_form_det/gamma", "closed_form_inverse", "element_inverse", "expand_terms", "general_det", "general_inverse"]
+    code, lines = bits_lines(stub, harness)
+    assert code == 1
+    assert sorted(lines) == sorted(engine_sets + ["random_matrix", "run_trials"])
+    assert [lines[name][-1] for name in engine_sets] == ["identical"] * 7
+    assert lines["random_matrix"][1:5] == ["parent", "-", "change", "64"] and lines["random_matrix"][-1] == "new"
+    assert lines["run_trials"][1:5] == ["parent", "-", "change", "4"] and lines["run_trials"][-1] == "new"
+    code, reversed_lines = bits_lines(harness, stub)
+    assert code == 1
+    assert reversed_lines["random_matrix"] == ["random_matrix:", "parent", "64", lines["random_matrix"][5], "change", "-", "missing"]
+    assert reversed_lines["run_trials"] == ["run_trials:", "parent", "4", lines["run_trials"][5], "change", "-", "missing"]
+
+
 def test_an_outcome_is_the_value_and_its_warnings_or_the_exception():
     import importlib.util
     import warnings
@@ -390,3 +450,23 @@ def test_the_harness_sets_hash_draws_and_reports_without_an_exception():
     # a value with no warnings, never an exception's (name, message)
     assert all(text.endswith(", [])") for found in texts.values() for text in found)
     assert all('"redraws": ' in text and "bin_lo_db,bin_hi_db,count" in text for text in texts["run_trials"])
+
+
+def test_the_io_sets_hash_every_draw_and_each_malformed_payload():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bits_outcomes", SCRIPT.with_name("bits_outcomes.py"))
+    outcomes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outcomes)
+    texts = {}
+    outcomes.record_io(lambda name, text: texts.setdefault(name, []).append(text))
+    # 64 draws and one EDGES draw per size n = 1..8; three inverses per draw
+    assert {name: len(found) for name, found in texts.items()} == {
+        "write_matrix": 520,
+        "parse_matrix": 520 + len(outcomes.MALFORMED),
+        "residual_max_abs": 3 * 520,
+    }
+    # every written matrix parses back; every malformed payload but the last is refused
+    assert not any(text.startswith("('") for text in texts["write_matrix"] + texts["parse_matrix"][:520])
+    assert all(text.startswith("('ParseError', ") for text in texts["parse_matrix"][520:-1])
+    assert any(text.startswith("('DomainError', 'residual entry (") for text in texts["residual_max_abs"])

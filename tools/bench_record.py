@@ -51,9 +51,12 @@ is off is printed too, since every run then compiles `src/`.
 
 `bits` runs `tools/bits_outcomes.py`, the same script for both, in a
 fresh interpreter per checkout with that checkout's `src/` on the path.
-Per engine it prints both sides' outcome count and sha256 over the
-outcomes' `repr`s, and `identical` or `differ`; it exits 1 if any engine
-differs. A checkout whose script run fails ends the command.
+Per set, in name order over the sets of both sides, it prints both
+sides' outcome count and sha256 over the outcomes' `repr`s, and
+`identical` or `differ`; a set that only the parent has reads `missing`,
+and one that only the change has reads `new`, with `-` for the side
+without it. It exits 1 unless every set of both sides is identical. A
+checkout whose script run fails ends the command.
 
 `BENCHMARK.json` is only read. Standard library only.
 """
@@ -323,9 +326,14 @@ def _bits_main(argv) -> int:
     parser.add_argument("change", type=Path, help="the change's checkout")
     args = parser.parse_args(argv)
     old, new = outcome_hashes(args.parent), outcome_hashes(args.change)
-    for engine, (count, sha) in old.items():
-        verdict = "identical" if new[engine] == [count, sha] else "differ"
-        print(f"{engine}: parent {count} {sha}  change {new[engine][0]} {new[engine][1]}  {verdict}")
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            print(f"{name}: parent {old[name][0]} {old[name][1]}  change -  missing")
+        elif name not in old:
+            print(f"{name}: parent -  change {new[name][0]} {new[name][1]}  new")
+        else:
+            verdict = "identical" if old[name] == new[name] else "differ"
+            print(f"{name}: parent {old[name][0]} {old[name][1]}  change {new[name][0]} {new[name][1]}  {verdict}")
     return int(old != new)
 
 

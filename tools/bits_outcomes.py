@@ -22,10 +22,21 @@ n = 1..8, seeds 0, 1, -1 and 2^64 - 1, real and complex, and `run_trials`
 is the `summary_json` and `histogram_csv` of `run_trials` for the
 closed form at 5x5, the telescope at 6x6, the cofactor oracle at 4x4 and
 the closed form on complex 3x3 draws, 100 trials each from seed 3000 +
-size. A checkout without `minorform.validation`, such as an engines-only
-stub, gets the engine sets alone. `bench_record.py
-bits` runs this script once per checkout, in a fresh interpreter.
-Standard library only.
+size.
+
+The I/O sets cover the matrix wire format and the CLI's residual, on the
+same draws at n = 1..8 plus one draw per size whose parts cycle through
+EDGES (signed zeros, the smallest subnormal, the smallest normal, +-max,
+1e-300, 1.5e308). `write_matrix` is the bytes `write_matrix` writes,
+`parse_matrix` is `parse_matrix` of those bytes and of each payload in
+MALFORMED, and `residual_max_abs` is `residual_max_abs(a, x)` with x the
+`closed_form_inverse` of a, its Gauss-Jordan inverse and the identity,
+where an overflowing entry of A X - I is an outcome like any other.
+
+A checkout without `minorform.validation` gets no harness sets, and one
+without `minorform.oracles` no I/O sets, so an engines-only stub gets the
+engine sets alone. `bench_record.py bits` runs this script once per
+checkout, in a fresh interpreter. Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +56,33 @@ EXTREME = (1e300, -1e300, 1e-300, 1e200, 1.5e308)
 DRAWS_PER_KIND = 16
 HARNESS_SEEDS = (0, 1, -1, 2**64 - 1)
 HARNESS_TRIALS = 100
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1.5e308)
+MALFORMED = (
+    b"",
+    b"\xff\xfe{}",
+    b'{"n": 2,\n "re": [[1, 2], [3, 4]',
+    b"[1, 2, 3]",
+    b'{"n": 1, "re": [[1]], "extra": 3}',
+    b'{"re": [[1]]}',
+    b'{"n": true, "re": [[1]]}',
+    b'{"n": 0, "re": []}',
+    b'{"n": 1}',
+    b'{"n": 2, "re": [[1, 2]]}',
+    b'{"n": 2, "re": [[1, 2], [3]]}',
+    b'{"n": 2, "re": [[1, null], [3]]}',
+    b'{"n": 1, "re": [["x"]]}',
+    b'{"n": 1, "re": [[true]]}',
+    b'{"n": 1, "re": [[Infinity]]}',
+    b'{"n": 1, "re": [[-Infinity]]}',
+    b'{"n": 1, "re": [[1e400]]}',
+    b'{"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [NaN, 0]]}',
+    b'{"n": 1, "re": [[1]], "im": [[1, 2]]}',
+    b'{"n": 1, "re": [[1]], "im": 5}',
+    b'{"n": 1, "re": [[1' + b"0" * 400 + b"]]}",
+    b'{"n": 1, "re": [[1' + b"0" * 5000 + b"]]}",
+    b"[" * 100_000,
+    b'{"n": 2, "re": [[1, -0], [-0.0, 1e-400]], "im": [[-0.0, 0], [2, -3]]}',
+)
 
 
 def draws(n: int):
@@ -54,7 +92,7 @@ def draws(n: int):
         yield [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n * n)]
         yield [complex(rng.choice(SMALL), rng.choice(SMALL)) for _ in range(n * n)]
         parts = [rng.choice(SMALL) for _ in range(2 * n * n)]
-        for i in rng.sample(range(2 * n * n), rng.randint(1, 4)):
+        for i in rng.sample(range(2 * n * n), rng.randint(1, min(4, 2 * n * n))):
             parts[i] = rng.choice(EXTREME)
         yield [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
 
@@ -95,6 +133,27 @@ def record_harness(record) -> None:
         record("run_trials", outcome(reports, cfg))
 
 
+def record_io(record) -> None:
+    """Record the `write_matrix`, `parse_matrix` and `residual_max_abs` sets, if the checkout has the oracles."""
+    if importlib.util.find_spec("minorform.oracles") is None:
+        return
+    from minorform.matrices import identity, parse_matrix, write_matrix
+    from minorform.oracles import gauss_inverse, residual_max_abs
+
+    inverses = (engines.closed_form_inverse, lambda a: gauss_inverse(a).inverse, lambda a: identity(a.n))
+    for n in range(1, 9):
+        edges = [EDGES[k % len(EDGES)] for k in range(2 * n * n)]
+        for data in [*draws(n), [*map(complex, edges[::2], edges[1::2])]]:
+            a = Matrix(n, tuple(data))
+            text = write_matrix(a)
+            record("write_matrix", outcome(lambda: text))
+            record("parse_matrix", outcome(parse_matrix, text))
+            for inverse in inverses:
+                record("residual_max_abs", outcome(lambda: residual_max_abs(a, inverse(a))))
+    for payload in MALFORMED:
+        record("parse_matrix", outcome(parse_matrix, payload))
+
+
 def main() -> None:
     hashes: dict[str, list] = {}
 
@@ -116,6 +175,7 @@ def main() -> None:
                 for q in range(1, n + 1):
                     record("element_inverse", outcome(engines.element_inverse, a, p, q))
     record_harness(record)
+    record_io(record)
     print(json.dumps({name: [count, sha.hexdigest()] for name, (count, sha) in hashes.items()}))
 
 
