@@ -211,7 +211,8 @@ def _cmd_volume(args) -> int:
 
 
 @functools.cache  # built at the first main() call, reused by every later one
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its verbs' parsers, by verb."""
     parser = _Parser(prog="minorform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,13 +266,17 @@ def _build_parser() -> _Parser:
     p_vol.add_argument("--c", required=True, help="x,y,z")
     p_vol.set_defaults(handler=_cmd_volume)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, verbs = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)  # None reads sys.argv[1:]
+        # a leading verb goes straight to the parser that the top-level pass
+        # would hand the rest of argv to; the top-level parser answers the rest
+        verb = verbs.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if verb is None else verb.parse_args(argv[1:])
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
