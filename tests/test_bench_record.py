@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,27 @@ def test_cli_reads_the_latency_bound_and_leaves_benchmark_json_as_it_was(tmp_pat
     assert out[0].startswith("cli: python ") and out[0].endswith(", times in ms")
     assert out[1:3] == ["  invert --random 8", "    parent 100 [100-100]  change 200 [200-200]  +100.0%  parent IQR 0  won 0/2  verdict: worse"]
     assert tool.BENCHMARK.read_bytes() == before
+
+
+def test_cli_out_writes_each_runs_seconds_and_the_comparison(tmp_path, monkeypatch, capsys):
+    tool = bench_record_module()
+    for name, lines in (("a", 3), ("b", 5)):
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "src" / "m.py").write_text("x = 1\n" * lines)
+    monkeypatch.setattr(tool, "_time_command", lambda checkout, argv, workdir: 0.1 if checkout.name == "a" else 0.2)
+    out = tmp_path / "BENCH_cli.json"
+    argv = ["cli", str(tmp_path / "a"), str(tmp_path / "b"), "--runs", "2", "--out", str(out)]
+    assert tool.main(argv) == 0
+    assert capsys.readouterr().out.startswith("cli: python ")
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(record) == ["checkouts", "comparison_ms", "dont_write_bytecode", "python", "seconds_by_run"]
+    assert record["python"] == platform.python_version()
+    assert [record["checkouts"][side]["src_lines"] for side in ("parent", "change")] == [3, 5]
+    seconds = record["seconds_by_run"]
+    assert seconds == {" ".join(argv): {"parent": [0.1, 0.1], "change": [0.2, 0.2]} for argv in tool.CLI_COMMANDS}
+    assert record["comparison_ms"] == tool.compare_cli(seconds, {"better": "lower", "bound": 0.25})
+    assert record["comparison_ms"]["det --random 8"]["change"] == [200, 200, 200]
+    assert record["comparison_ms"]["det --random 8"]["verdict"] == "worse"
 
 
 STUB_MATRICES = """

@@ -647,3 +647,100 @@ def test_every_verb_exits_cleanly_and_prints_finite_numbers(case):
                 assert math.isfinite(float(token)), token
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+# argv for the two routes through main: a leading verb goes straight to its
+# own parser, anything else to the top-level one. Run in a directory that
+# holds m.json; help at every level, unknown and abbreviated verbs and
+# flags, --flag=value, --, negative numbers, both matrix sources, bad
+# choices, an option before the verb, and all eight verbs
+ROUTE_CASES = [
+    (),
+    ("--help",),
+    ("-h",),
+    ("-h", "det"),
+    ("--seed", "3", "det", "--random", "3"),
+    ("--", "det", "--random", "3"),
+    ("nonsense",),
+    ("inv", "--input", "m.json"),
+    ("de", "--random", "3"),
+    *((verb, "--help") for verb in ("det", "invert", "minor", "expand", "validate", "sparse-check", "curl", "volume")),
+    ("det", "-h", "--random", "x"),
+    ("det", "--random", "x", "-h"),
+    ("det", "--input", "m.json"),
+    ("det", "--rand", "3", "--se", "2", "--rep", "gamma"),
+    ("det", "--r", "3"),
+    ("det", "--random=3", "--seed=-4", "--complex"),
+    ("det", "--random", "3", "--seed", "-5"),
+    ("det", "--random", "-2"),
+    ("det", "--random", "x"),
+    ("det",),
+    ("det", "--input", "m.json", "--random", "3"),
+    ("det", "--random", "3", "--repr", "nope"),
+    ("det", "--random", "9", "--method", "closed"),
+    ("det", "--", "--random", "3"),
+    ("det", "--random", "3", "det"),
+    ("invert", "--input", "m.json"),
+    ("invert", "--inp", "m.json", "--method", "telescope"),
+    ("invert", "--input", "m.json", "--"),
+    ("invert", "--input", "m.json", "extra"),
+    ("invert", "--bogus"),
+    ("invert", "--random", "3", "--method", "fast"),
+    ("invert", "--random", "3", "--repr", "gamma"),
+    ("minor", "--input", "m.json", "--row", "1", "--col", "2", "--by", "formula"),
+    ("minor", "--input", "m.json", "--row", "1", "--col", "1", "--by", "x"),
+    ("expand", "--size", "3"),
+    ("expand",),
+    ("validate", "--trials", "2", "--size", "3", "--out", "h.csv", "--method", "oracle", "--complex", "--seed", "-1"),
+    ("sparse-check",),
+    ("sparse-check", "--values=-1,2,3,4,5"),
+    ("curl", "--h", "1,1,1", "--d", "1,2,3,4,5,6,7,8,9"),
+    ("curl", "--h", "1,1,1"),
+    ("volume", "--a", "-1,0,0", "--b", "0,1,0", "--c", "0,0,1"),
+    ("volume", "--a=x,0,0", "--b=0,1,0", "--c=0,0,1"),
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """What one parser's parse_args makes of argv: the namespace, the usage error, or --help's exit and stdout."""
+    try:
+        args = parse(argv)
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    return "parsed", {k: v for k, v in vars(args).items() if k != "command"}
+
+
+class CountingParse:
+    """Stands in for a parser's parse_args: records each argv and delegates."""
+
+    def __init__(self, parse):
+        self.parse, self.calls = parse, []
+
+    def __call__(self, argv):
+        self.calls.append(list(argv))
+        return self.parse(argv)
+
+
+@pytest.mark.parametrize("argv", ROUTE_CASES, ids=" ".join)
+def test_a_leading_verb_takes_the_route_the_top_level_pass_would(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    matrix_file(tmp_path, FROZEN_3X3)
+    parser, verbs = cli._build_parser()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        # the parser level: the verb's own pass against the top-level pass
+        assert parse_outcome(capsys, verb.parse_args, list(argv[1:])) == parse_outcome(capsys, parser.parse_args, list(argv))
+
+    # main: exit code, stdout and stderr as with the top-level pass alone
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", lambda: (parser, {}))
+        expected = run_cli(capsys, *argv)
+    top, own = CountingParse(parser.parse_args), CountingParse(verb.parse_args if verb else None)
+    monkeypatch.setattr(parser, "parse_args", top)
+    if verb is not None:
+        monkeypatch.setattr(verb, "parse_args", own)
+    assert run_cli(capsys, *argv) == expected
+    assert (top.calls, own.calls) == (([], [list(argv[1:])]) if verb else ([list(argv)], []))

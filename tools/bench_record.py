@@ -2,7 +2,7 @@
 
     python3 tools/bench_record.py RUNS_DIR LABEL [--out DIR]
     python3 tools/bench_record.py compare PARENT.json CHANGE.json
-    python3 tools/bench_record.py cli PARENT_CHECKOUT CHANGE_CHECKOUT [--runs N]
+    python3 tools/bench_record.py cli PARENT_CHECKOUT CHANGE_CHECKOUT [--runs N] [--out FILE]
     python3 tools/bench_record.py bits PARENT_CHECKOUT CHANGE_CHECKOUT
 
 RUNS_DIR is the `.perfbench_runs` directory that one or more
@@ -47,7 +47,9 @@ the change in the median, the parent's interquartile range and the runs
 the change won, pairing run i with run i. A command's wall time is read
 as a latency: the verdict line is `compare`'s, with the direction and
 bound `BENCHMARK.json` gives `latency_p50_ms`. Whether bytecode writing
-is off is printed too, since every run then compiles `src/`.
+is off is printed too, since every run then compiles `src/`. With `--out
+FILE` it also writes that comparison as JSON, next to every timed run's
+seconds per side and each checkout's commit and `src/` line count.
 
 `bits` runs `tools/bits_outcomes.py`, the same script for both, in a
 fresh interpreter per checkout with that checkout's `src/` on the path.
@@ -285,6 +287,17 @@ def compare_cli(times: dict[str, dict[str, list[float]]], latency: dict) -> dict
     return out
 
 
+def cli_record(checkouts: dict[str, Path], times: dict[str, dict[str, list[float]]], comparison: dict) -> dict:
+    """The `cli --out` record: provenance, each command's seconds by run per side, and the comparison."""
+    return {
+        "python": platform.python_version(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+        "checkouts": {side: {"commit": _commit(path), "src_lines": _src_lines(path)} for side, path in checkouts.items()},
+        "seconds_by_run": times,
+        "comparison_ms": comparison,
+    }
+
+
 def _format_cli(comparison: dict) -> str:
     off = "off" if sys.flags.dont_write_bytecode else "on"
     lines = [f"cli: python {platform.python_version()}, bytecode writing {off}, times in ms"]
@@ -303,11 +316,17 @@ def _cli_main(argv) -> int:
     parser.add_argument("parent", type=Path, help="the parent's checkout")
     parser.add_argument("change", type=Path, help="the change's checkout")
     parser.add_argument("--runs", type=int, default=10, help="timed runs per command and checkout")
+    parser.add_argument("--out", type=Path, help="also write the times and the comparison to this JSON file")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     latency = _end_to_end(BENCHMARK)["latency_p50_ms"]
-    print(_format_cli(compare_cli(time_cli(args.parent, args.change, args.runs, _time_command), latency)))
+    times = time_cli(args.parent, args.change, args.runs, _time_command)
+    comparison = compare_cli(times, latency)
+    print(_format_cli(comparison))
+    if args.out is not None:
+        record = cli_record({"parent": args.parent, "change": args.change}, times, comparison)
+        args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -317,7 +336,7 @@ def outcome_hashes(checkout: Path) -> dict[str, list]:
     done = subprocess.run([sys.executable, str(OUTCOMES)], env=env, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"bench_record: {OUTCOMES.name} exited {done.returncode} on {checkout}: {done.stderr.strip()}")
-    return json.loads(done.stdout)
+    return json.loads(done.stdout)["sets"]
 
 
 def _bits_main(argv) -> int:

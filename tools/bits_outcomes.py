@@ -2,8 +2,9 @@
 
     PYTHONPATH=CHECKOUT/src python3 tools/bits_outcomes.py
 
-Imports `minorform` from the path and prints one JSON object,
-{set: [outcome count, sha256]}. An outcome is the `repr` of the value
+Imports `minorform` from the path and prints one JSON object: the
+platform it ran on, `sys.platform` and `platform.libc_ver()`, and under
+"sets" {set: [outcome count, sha256]}. An outcome is the `repr` of the value
 and of the warnings raised as (category name, message), or of the
 exception's type name and message. The engine sets are `general_det`,
 `general_inverse`, `element_inverse` at every (p, q), `closed_form_det`
@@ -36,7 +37,18 @@ where an overflowing entry of A X - I is an outcome like any other.
 A checkout without `minorform.validation` gets no harness sets, and one
 without `minorform.oracles` no I/O sets, so an engines-only stub gets the
 engine sets alone. `bench_record.py bits` runs this script once per
-checkout, in a fresh interpreter. Standard library only.
+checkout, in a fresh interpreter. Its output on `src/` is committed as
+`tests/golden/bits_outcomes.json`, which a Tier-1 test compares set by
+set; a change meant to move outcomes rewrites it with
+
+    PYTHONPATH=src python3 tools/bits_outcomes.py > tests/golden/bits_outcomes.json
+
+The engines use only +, -, * and / on complex numbers, which IEEE 754
+rounds the same everywhere. The draws do not: `random.Random.gauss` and
+`minorform.rng` call libm's `log` and `cos`, and `run_trials` scores in
+dB through `log10`, whose last bit libm does not fix. So every set that
+hashes a draw holds only on a libm that rounds as the recorded one does.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -44,7 +56,9 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import platform
 import random
+import sys
 import warnings
 
 from minorform import engines
@@ -176,7 +190,8 @@ def main() -> None:
                     record("element_inverse", outcome(engines.element_inverse, a, p, q))
     record_harness(record)
     record_io(record)
-    print(json.dumps({name: [count, sha.hexdigest()] for name, (count, sha) in hashes.items()}))
+    sets = {name: [count, sha.hexdigest()] for name, (count, sha) in hashes.items()}
+    print(json.dumps({"platform": sys.platform, "libc": list(platform.libc_ver()), "sets": sets}, indent=2))
 
 
 if __name__ == "__main__":
