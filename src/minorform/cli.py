@@ -38,7 +38,7 @@ from .errors import (
 )
 from .matrices import Matrix, _format_float, minor_by_deletion, minor_by_formula, parse_matrix, random_matrix, write_matrix
 from .oracles import cofactor_inverse, leibniz_det, residual_max_abs
-from .validation import TrialConfig, histogram_csv, run_trials, sparse_suite, summary_json
+from .validation import SPARSE_DEFAULT_VALUES, TrialConfig, histogram_csv, run_trials, sparse_suite, summary_json
 from .vector_apps import CurlInput, curl_components, scalar_triple
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_val.set_defaults(handler=_cmd_validate)
 
     p_sparse = sub.add_parser("sparse-check", help="sparse 5x5 pattern suite")
-    p_sparse.add_argument("--values", default="1,2,3,4,5", help="five comma-separated values")
+    p_sparse.add_argument("--values", default=",".join(f"{v:g}" for v in SPARSE_DEFAULT_VALUES), help="five comma-separated values")
     p_sparse.set_defaults(handler=_cmd_sparse_check)
 
     p_curl = sub.add_parser("curl", help="curl components from scaled-field partials")

@@ -197,8 +197,25 @@ def test_compare_gives_each_listed_metric_a_verdict_against_its_bound(tmp_path):
         "gain": {"ops_per_s": "gain", "latency_p50_ms": "within bound"},
         "nine": {"ops_per_s": "gain", "latency_p50_ms": "worse"},
         "eight": {"ops_per_s": "within bound", "latency_p50_ms": "unresolved"},
-        "wide": {"ops_per_s": "worse", "latency_p50_ms": "within bound"},
+        "wide": {"ops_per_s": "worse", "latency_p50_ms": "unresolved"},
     }
+
+
+def test_a_wide_parent_is_resolved_only_when_every_change_run_beats_every_parent_run(tmp_path):
+    split = [1.0] * 5 + [2.0] * 5  # median 1.5, IQR 1.0: wider than the bound
+    said = verdicts(tmp_path, {"clear": ten_runs(STEADY_OPS, split), "overlap": ten_runs(STEADY_OPS, split)}, {
+        "clear": ten_runs(STEADY_OPS, [0.99] * 10),  # every run beats 1.0, by less than the IQR
+        "overlap": ten_runs(STEADY_OPS, [0.9] * 5 + [1.9] * 5),  # every pair won, but 1.9 is slower than 1.0
+    })
+    assert [said[w]["latency_p50_ms"] for w in ("clear", "overlap")] == ["within bound", "unresolved"]
+
+
+def test_no_gain_when_the_change_fails_a_larger_share(tmp_path):
+    steady, faster = ten_runs(STEADY_OPS, STEADY_LATENCY), ten_runs([o + 20 for o in STEADY_OPS], STEADY_LATENCY)
+    # 10 of 1000 operations fail on the failing side; every pair won by more than the IQR
+    failing = [[(seed, values, 1) for seed, values, _ in runs] for runs in (steady, faster)]
+    said = verdicts(tmp_path, {"more": steady, "fewer": failing[0]}, {"more": failing[1], "fewer": faster})
+    assert [said[w]["ops_per_s"] for w in ("more", "fewer")] == ["within bound", "gain"]
 
 
 def test_a_worse_median_beyond_the_bound_is_worse_even_when_unresolved(tmp_path):
@@ -301,145 +318,6 @@ def test_cli_out_writes_each_runs_seconds_and_the_comparison(tmp_path, monkeypat
     assert record["comparison_ms"] == tool.compare_cli(seconds, {"better": "lower", "bound": 0.25})
     assert record["comparison_ms"]["det --random 8"]["change"] == [200, 200, 200]
     assert record["comparison_ms"]["det --random 8"]["verdict"] == "worse"
-
-
-STUB_MATRICES = """
-class Matrix:
-    def __init__(self, n, data):
-        self.n, self.data = n, data
-"""
-
-STUB_DISCRETE = """
-from enum import Enum
-
-
-class ReprKind(Enum):
-    DIRECT = "direct"
-    GAMMA = "gamma"
-"""
-
-STUB_ENGINES = """
-import warnings
-
-from .discrete import ReprKind
-
-
-def general_det(a):
-    return a.data[0] {sign} a.data[1]
-
-
-def general_inverse(a):
-    warnings.warn("tiny", UserWarning)
-    return a.data[::-1]
-
-
-def element_inverse(a, p, q):
-    return a.data[(p - 1) * a.n + q - 1]
-
-
-def closed_form_det(a, repr_kind=ReprKind.DIRECT):
-    if a.n > 5:
-        raise ValueError(f"size {{a.n}}")
-    return a.data[0] if repr_kind is ReprKind.DIRECT else a.data[-1]
-
-
-def expand_terms(n):
-    return tuple(range(n))
-
-
-closed_form_inverse = general_inverse
-"""
-
-
-def stub_checkout(root, sign):
-    package = root / "src" / "minorform"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "matrices.py").write_text(STUB_MATRICES)
-    (package / "discrete.py").write_text(STUB_DISCRETE)
-    (package / "engines.py").write_text(STUB_ENGINES.format(sign=sign))
-    return root
-
-
-def bits_lines(*checkouts):
-    done = subprocess.run([sys.executable, str(SCRIPT), "bits", *map(str, checkouts)], capture_output=True, text=True)
-    return done.returncode, {line.split(":")[0]: line.split() for line in done.stdout.splitlines()}
-
-
-def test_bits_reads_one_flipped_sign_as_differ(tmp_path):
-    parent, change = stub_checkout(tmp_path / "parent", "-"), stub_checkout(tmp_path / "change", "+")
-    code, lines = bits_lines(parent, change)
-    assert code == 1
-    names = ["closed_form_det", "closed_form_det/gamma", "closed_form_inverse", "element_inverse", "expand_terms", "general_det", "general_inverse"]
-    assert sorted(lines) == names
-    # 64 draws per size n = 2..8, element_inverse at each of their n^2
-    # entries, closed_form_det under each encoding but direct, and one
-    # expansion per size
-    assert [lines[name][2] for name in names] == ["448", "448", "448", "12992", "7", "448", "448"]
-    assert lines["general_det"][-1] == "differ" and lines["general_det"][3] != lines["general_det"][6]
-    assert [lines[name][-1] for name in names if name != "general_det"] == ["identical"] * 6
-    code, lines = bits_lines(parent, parent)
-    assert code == 0 and [line[-1] for line in lines.values()] == ["identical"] * 7
-
-
-STUB_HARNESS = {
-    "matrices.py": """
-
-def random_matrix(n, seed, complex_entries=False):
-    return n, seed, complex_entries
-""",
-    "engines.py": """
-
-from enum import Enum
-
-
-class Method(Enum):
-    CLOSED_FORM = "closed"
-    TELESCOPE = "telescope"
-    ORACLE = "oracle"
-""",
-    "validation.py": """
-class TrialConfig:
-    def __init__(self, *fields):
-        self.fields = fields
-
-
-def run_trials(cfg):
-    return cfg.fields
-
-
-def summary_json(report):
-    return repr(report)
-
-
-def histogram_csv(report):
-    return ""
-""",
-}
-
-
-def harness_stub_checkout(root):
-    """The engines-only stub with a harness added, so that it records `random_matrix` and `run_trials` too."""
-    package = stub_checkout(root, "-") / "src" / "minorform"
-    for name, text in STUB_HARNESS.items():
-        path = package / name
-        path.write_text((path.read_text() if path.exists() else "") + text)
-    return root
-
-
-def test_bits_names_a_set_on_one_side_only_and_exits_1(tmp_path):
-    stub, harness = stub_checkout(tmp_path / "stub", "-"), harness_stub_checkout(tmp_path / "harness")
-    engine_sets = ["closed_form_det", "closed_form_det/gamma", "closed_form_inverse", "element_inverse", "expand_terms", "general_det", "general_inverse"]
-    code, lines = bits_lines(stub, harness)
-    assert code == 1
-    assert sorted(lines) == sorted(engine_sets + ["random_matrix", "run_trials"])
-    assert [lines[name][-1] for name in engine_sets] == ["identical"] * 7
-    assert lines["random_matrix"][1:5] == ["parent", "-", "change", "64"] and lines["random_matrix"][-1] == "new"
-    assert lines["run_trials"][1:5] == ["parent", "-", "change", "4"] and lines["run_trials"][-1] == "new"
-    code, reversed_lines = bits_lines(harness, stub)
-    assert code == 1
-    assert reversed_lines["random_matrix"] == ["random_matrix:", "parent", "64", lines["random_matrix"][5], "change", "-", "missing"]
-    assert reversed_lines["run_trials"] == ["run_trials:", "parent", "4", lines["run_trials"][5], "change", "-", "missing"]
 
 
 def test_an_outcome_is_the_value_and_its_warnings_or_the_exception():

@@ -1,5 +1,5 @@
-"""Every top-level name in the package has a reader, so a helper or format
-left without a caller fails here rather than lingering."""
+"""Every top-level name in the package, and in the tools, has a reader, so a
+helper or format left without a caller fails here rather than lingering."""
 
 import ast
 from pathlib import Path
@@ -44,3 +44,10 @@ def test_every_top_level_name_has_a_reader():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     )
     assert unread == []
+
+
+def test_every_top_level_name_in_tools_has_a_reader_in_tools_or_tests():
+    tools, tests = ({p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((PACKAGE.parents[1] / d).glob("*.py"))} for d in ("tools", "tests"))
+    assert "bench_record.py" in tools
+    read = set().union(*map(_read_names, [*tools.values(), *tests.values()]))
+    assert sorted(f"{module}:{name}" for module, tree in tools.items() for name in _top_level_names(tree) - read) == []

@@ -3,7 +3,6 @@
     python3 tools/bench_record.py RUNS_DIR LABEL [--out DIR]
     python3 tools/bench_record.py compare PARENT.json CHANGE.json
     python3 tools/bench_record.py cli PARENT_CHECKOUT CHANGE_CHECKOUT [--runs N] [--out FILE]
-    python3 tools/bench_record.py bits PARENT_CHECKOUT CHANGE_CHECKOUT
 
 RUNS_DIR is the `.perfbench_runs` directory that one or more
 `perfbench/run.py --trace 0` runs left at the root of a checkout. Every
@@ -29,11 +28,12 @@ verdict. Each workload's failed share is printed for both sides, and
 each metric gets a verdict line, read against the metric's relative
 `bound` in `BENCHMARK.json`, the first that holds of:
 
-- `gain`: the change won at least 9 in 10 of the pairs, and its median is
-  better by more than the parent's interquartile range;
+- `gain`: the change won at least 9 in 10 of the pairs, its median is
+  better by more than the parent's interquartile range, and its failed
+  share is no higher than the parent's;
 - `worse`: the median is worse by more than the bound;
 - `unresolved`: the parent's interquartile range is wider than the bound,
-  and the change did not win every pair;
+  and not every run of the change is better than every run of the parent;
 - `within bound`.
 
 `cli` times three commands in fresh interpreters, `python -m minorform`
@@ -50,15 +50,6 @@ bound `BENCHMARK.json` gives `latency_p50_ms`. Whether bytecode writing
 is off is printed too, since every run then compiles `src/`. With `--out
 FILE` it also writes that comparison as JSON, next to every timed run's
 seconds per side and each checkout's commit and `src/` line count.
-
-`bits` runs `tools/bits_outcomes.py`, the same script for both, in a
-fresh interpreter per checkout with that checkout's `src/` on the path.
-Per set, in name order over the sets of both sides, it prints both
-sides' outcome count and sha256 over the outcomes' `repr`s, and
-`identical` or `differ`; a set that only the parent has reads `missing`,
-and one that only the change has reads `new`, with `-` for the side
-without it. It exits 1 unless every set of both sides is identical. A
-checkout whose script run fails ends the command.
 
 `BENCHMARK.json` is only read. Standard library only.
 """
@@ -78,7 +69,6 @@ import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-OUTCOMES = Path(__file__).resolve().with_name("bits_outcomes.py")
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json")
 
 
@@ -151,31 +141,36 @@ def _end_to_end(benchmark: Path) -> dict[str, dict]:
     return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
-def _verdict(old: float, iqr: float, new: float, wins: int, pairs: int, better: str, bound: float) -> str:
-    """A metric's verdict from the parent's median and IQR, the change's median and the pairs won."""
+def _beats(old: float, new: float, better: str) -> bool:
+    return new > old if better == "higher" else new < old
+
+
+def _verdict(a: dict, b: dict, wins: int, pairs: int, more_failed: bool, better: str, bound: float) -> str:
+    """A metric's verdict from both sides' quartiles and runs, the pairs won and whether the change fails a larger share."""
+    old, new, iqr = a["median"], b["median"], a["q3"] - a["q1"]
     gained = new - old if better == "higher" else old - new
-    if pairs and 10 * wins >= 9 * pairs and gained > iqr:
+    if pairs and 10 * wins >= 9 * pairs and gained > iqr and not more_failed:
         return "gain"
     if -gained > bound * abs(old):
         return "worse"
-    if iqr > bound * abs(old) and wins < pairs:
+    if iqr > bound * abs(old) and not all(_beats(x, y, better) for x in a["by_seed"].values() for y in b["by_seed"].values()):
         return "unresolved"
     return "within bound"
 
 
-def _entry(a: dict, b: dict, wins: int | None, pairs: int, spec: dict) -> dict:
-    """One metric's line from both sides' quartiles, the pairs won and its end-to-end entry."""
-    iqr = a["q3"] - a["q1"]
+def _entry(a: dict, b: dict, spec: dict, more_failed: bool = False) -> dict:
+    """One metric's line from both sides' quartiles and `by_seed` runs, paired by key, and its end-to-end entry."""
+    keys = a["by_seed"].keys() & b["by_seed"].keys()
+    better = spec.get("better")
+    wins = None if better is None else sum(_beats(a["by_seed"][k], b["by_seed"][k], better) for k in keys)
     return {
         "parent": [a["q1"], a["median"], a["q3"]],
         "change": [b["q1"], b["median"], b["q3"]],
         "change_pct": 100.0 * (b["median"] - a["median"]) / a["median"] if a["median"] else None,
-        "parent_iqr": iqr,
+        "parent_iqr": a["q3"] - a["q1"],
         "wins": wins,
-        "pairs": pairs,
-        "verdict": None if wins is None else _verdict(
-            a["median"], iqr, b["median"], wins, pairs, spec["better"], spec["bound"]
-        ),
+        "pairs": len(keys),
+        "verdict": None if wins is None else _verdict(a, b, wins, len(keys), more_failed, better, spec["bound"]),
     }
 
 
@@ -184,21 +179,12 @@ def compare(parent: dict, change: dict, end_to_end: dict[str, dict]) -> dict:
     out = {}
     for workload in sorted(set(parent["workloads"]) & set(change["workloads"])):
         old, new = parent["workloads"][workload], change["workloads"][workload]
-        metrics = {}
-        for name in old["metrics"]:
-            if name not in new["metrics"]:
-                continue
-            a, b = old["metrics"][name], new["metrics"][name]
-            seeds = sorted(set(a["by_seed"]) & set(b["by_seed"]), key=int)
-            spec = end_to_end.get(name, {})
-            direction = spec.get("better")
-            if direction == "higher":
-                wins = sum(b["by_seed"][s] > a["by_seed"][s] for s in seeds)
-            elif direction == "lower":
-                wins = sum(b["by_seed"][s] < a["by_seed"][s] for s in seeds)
-            else:
-                wins = None
-            metrics[name] = _entry(a, b, wins, len(seeds), spec)
+        more_failed = new["failed"] * old["attempted"] > old["failed"] * new["attempted"]
+        metrics = {
+            name: _entry(old["metrics"][name], new["metrics"][name], end_to_end.get(name, {}), more_failed)
+            for name in old["metrics"]
+            if name in new["metrics"]
+        }
         out[workload] = {
             "failed": [[old["failed"], old["attempted"]], [new["failed"], new["attempted"]]],
             "metrics": metrics,
@@ -282,8 +268,8 @@ def compare_cli(times: dict[str, dict[str, list[float]]], latency: dict) -> dict
     out = {}
     for command, sides in times.items():
         old, new = ([1e3 * t for t in sides[side]] for side in ("parent", "change"))
-        wins = sum(y < x if latency["better"] == "lower" else y > x for x, y in zip(old, new))
-        out[command] = _entry(_quartiles(old), _quartiles(new), wins, len(old), latency)
+        a, b = ({**_quartiles(ms), "by_seed": dict(enumerate(ms))} for ms in (old, new))
+        out[command] = _entry(a, b, latency)
     return out
 
 
@@ -330,40 +316,11 @@ def _cli_main(argv) -> int:
     return 0
 
 
-def outcome_hashes(checkout: Path) -> dict[str, list]:
-    """{engine: [outcome count, sha256]} from `bits_outcomes.py` on checkout's src/."""
-    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
-    done = subprocess.run([sys.executable, str(OUTCOMES)], env=env, capture_output=True, text=True)
-    if done.returncode:
-        raise SystemExit(f"bench_record: {OUTCOMES.name} exited {done.returncode} on {checkout}: {done.stderr.strip()}")
-    return json.loads(done.stdout)["sets"]
-
-
-def _bits_main(argv) -> int:
-    parser = argparse.ArgumentParser(prog="bench_record.py bits", description="Compare every engine outcome of two checkouts bit for bit.")
-    parser.add_argument("parent", type=Path, help="the parent's checkout")
-    parser.add_argument("change", type=Path, help="the change's checkout")
-    args = parser.parse_args(argv)
-    old, new = outcome_hashes(args.parent), outcome_hashes(args.change)
-    for name in sorted(old.keys() | new.keys()):
-        if name not in new:
-            print(f"{name}: parent {old[name][0]} {old[name][1]}  change -  missing")
-        elif name not in old:
-            print(f"{name}: parent -  change {new[name][0]} {new[name][1]}  new")
-        else:
-            verdict = "identical" if old[name] == new[name] else "differ"
-            print(f"{name}: parent {old[name][0]} {old[name][1]}  change {new[name][0]} {new[name][1]}  {verdict}")
-    return int(old != new)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["bits"]:
-        return _bits_main(argv[1:])
-    if argv[:1] == ["compare"]:
-        return _compare_main(argv[1:])
-    if argv[:1] == ["cli"]:
-        return _cli_main(argv[1:])
+    verbs = {"compare": _compare_main, "cli": _cli_main}
+    if argv and argv[0] in verbs:
+        return verbs[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("runs_dir", type=Path, help="a checkout's .perfbench_runs directory")
     parser.add_argument("label", help="names the output file BENCH_<label>.json")

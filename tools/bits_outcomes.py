@@ -34,14 +34,14 @@ MALFORMED, and `residual_max_abs` is `residual_max_abs(a, x)` with x the
 `closed_form_inverse` of a, its Gauss-Jordan inverse and the identity,
 where an overflowing entry of A X - I is an outcome like any other.
 
-A checkout without `minorform.validation` gets no harness sets, and one
-without `minorform.oracles` no I/O sets, so an engines-only stub gets the
-engine sets alone. `bench_record.py bits` runs this script once per
-checkout, in a fresh interpreter. Its output on `src/` is committed as
-`tests/golden/bits_outcomes.json`, which a Tier-1 test compares set by
-set; a change meant to move outcomes rewrites it with
+Its output on `src/` is committed as `tests/golden/bits_outcomes.json`,
+which a Tier-1 test compares set by set; a change meant to move outcomes
+rewrites it with
 
     PYTHONPATH=src python3 tools/bits_outcomes.py > tests/golden/bits_outcomes.json
+
+Two checkouts A and B compare as `PYTHONPATH=A/src python3
+tools/bits_outcomes.py > a.json`, the same for B, and `diff a.json b.json`.
 
 The engines use only +, -, * and / on complex numbers, which IEEE 754
 rounds the same everywhere. The draws do not: `random.Random.gauss` and
@@ -54,7 +54,6 @@ Standard library only.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import platform
 import random
@@ -63,7 +62,9 @@ import warnings
 
 from minorform import engines
 from minorform.discrete import ReprKind
-from minorform.matrices import Matrix
+from minorform.matrices import Matrix, identity, parse_matrix, random_matrix, write_matrix
+from minorform.oracles import gauss_inverse, residual_max_abs
+from minorform.validation import TrialConfig, histogram_csv, run_trials, summary_json
 
 SMALL = (0.0, -0.0, 1.0, -1.0, 2.5, 3.0)
 EXTREME = (1e300, -1e300, 1e-300, 1e200, 1.5e308)
@@ -122,12 +123,7 @@ def outcome(call, *args) -> str:
 
 
 def record_harness(record) -> None:
-    """Record the `random_matrix` and `run_trials` sets, if the checkout has the harness."""
-    if importlib.util.find_spec("minorform.validation") is None:
-        return
-    from minorform.engines import Method
-    from minorform.matrices import random_matrix
-    from minorform.validation import TrialConfig, histogram_csv, run_trials, summary_json
+    """Record the `random_matrix` and `run_trials` sets."""
 
     def reports(cfg: TrialConfig) -> tuple[str, str]:
         report = run_trials(cfg)
@@ -138,22 +134,17 @@ def record_harness(record) -> None:
             for complex_entries in (False, True):
                 record("random_matrix", outcome(random_matrix, n, seed, complex_entries))
     for method, size, complex_entries in (
-        (Method.CLOSED_FORM, 5, False),
-        (Method.TELESCOPE, 6, False),
-        (Method.ORACLE, 4, False),
-        (Method.CLOSED_FORM, 3, True),
+        (engines.Method.CLOSED_FORM, 5, False),
+        (engines.Method.TELESCOPE, 6, False),
+        (engines.Method.ORACLE, 4, False),
+        (engines.Method.CLOSED_FORM, 3, True),
     ):
         cfg = TrialConfig(HARNESS_TRIALS, size, 3000 + size, method, complex_entries)
         record("run_trials", outcome(reports, cfg))
 
 
 def record_io(record) -> None:
-    """Record the `write_matrix`, `parse_matrix` and `residual_max_abs` sets, if the checkout has the oracles."""
-    if importlib.util.find_spec("minorform.oracles") is None:
-        return
-    from minorform.matrices import identity, parse_matrix, write_matrix
-    from minorform.oracles import gauss_inverse, residual_max_abs
-
+    """Record the `write_matrix`, `parse_matrix` and `residual_max_abs` sets."""
     inverses = (engines.closed_form_inverse, lambda a: gauss_inverse(a).inverse, lambda a: identity(a.n))
     for n in range(1, 9):
         edges = [EDGES[k % len(EDGES)] for k in range(2 * n * n)]
