@@ -390,13 +390,17 @@ def _cofactors(a: Matrix, v: Sequence[tuple[complex, ...]], entries: Sequence[tu
 
     `v` is the pass of `a`. Row 1's minors are its last state's children in
     the level below, or at n = 2 the entries a[2][2] and a[2][1]. Every
-    other minor is extracted and its last state alone evaluated, by its
-    size's top level on its level below, read off its row's `_row_level`;
-    at n = 2 it is one entry.
+    other minor's last state alone is evaluated, by its size's top level on
+    its level below, read off its row's `_row_level`, and on one extracted
+    minor per column s: from n = 4 the top level reads only row 1 without
+    s, the same for every r; at n = 3 (pair forms) one per minor; at n = 2
+    it is one entry.
     """
     n, data = a.n, a.data
     first_row = (data[3], data[2]) if n == 2 else [v[-2][child] for _, _, child in _telescope_schedule(n)[1][-1][0]]
     rows = {r: _row_level(a, v, r) for r in {r for r, _ in entries if r > 1}}
+    top = _telescope_levels(n - 1)[-1] if n > 2 else None
+    minors = {}
     out = []
     for r, s in entries:
         if r == 1:
@@ -404,7 +408,9 @@ def _cofactors(a: Matrix, v: Sequence[tuple[complex, ...]], entries: Sequence[tu
         elif n == 2:
             numer = minor_by_formula(a, r, s).data[0]
         else:
-            numer = _telescope_levels(n - 1)[-1](minor_by_formula(a, r, s).data, _shared_reader(n, s)(rows[r]))[0]
+            if n == 3 or s not in minors:
+                minors[s] = minor_by_formula(a, r, s).data
+            numer = top(minors[s], _shared_reader(n, s)(rows[r]))[0]
         out.append(numer if (r + s) % 2 == 0 else -numer)
     return out
 
@@ -442,7 +448,8 @@ def general_inverse(a: Matrix) -> Matrix:
     The determinant's pass is read once by `_cofactors` for all n^2
     cofactors, in row-major order: row 1 off the pass itself, every other
     row by one level call per minor on the states it reads off its row's
-    level of n - 2 columns, which starts from the pass's levels below it.
+    level of n - 2 columns, which starts from the pass's levels below it,
+    and on one extracted minor per column (one per minor at n = 3).
     """
     n = a.n
     check_combination(n, Method.TELESCOPE, ReprKind.DIRECT)

@@ -615,7 +615,19 @@ def test_telescope_is_bitwise_the_laplace_recursion(a):
     assert general_inverse(a).data == cofactor_inverse(a).data
 
 
-def test_telescope_extracts_only_first_level_minors(monkeypatch):
+@pytest.mark.parametrize(
+    "n, extracted",
+    [
+        # the top level of a 2x2 minor is the pair form, which reads both rows
+        (3, [(3, r, s) for r in (2, 3) for s in range(1, 4)]),
+        # a larger minor's top level reads only its first row, a's row 1
+        # without s for every r >= 2, so one extraction serves its column
+        (4, [(4, 2, s) for s in range(1, 5)]),
+        (6, [(6, 2, s) for s in range(1, 7)]),
+        (8, [(8, 2, s) for s in range(1, 9)]),
+    ],
+)
+def test_telescope_extracts_only_first_level_minors(monkeypatch, n, extracted):
     import minorform.engines as engines
 
     calls = []
@@ -625,20 +637,35 @@ def test_telescope_extracts_only_first_level_minors(monkeypatch):
         return minor_by_formula(a, row, col)
 
     monkeypatch.setattr(engines, "minor_by_formula", counted)
-    a = random_matrix(6, seed=61)
+    a = random_matrix(n, seed=55 + n)
     general_inverse(a)
     # row 1's minors are the children of the determinant pass's last state
-    assert sorted(calls) == [(6, r, s) for r in range(2, 7) for s in range(1, 7)]
+    assert sorted(calls) == extracted
     calls.clear()
     general_det(a)
     assert calls == []
-    element_inverse(a, 2, 5)
-    assert calls == [(6, 2, 5)]
+    element_inverse(a, 2, n - 1)
+    assert calls == [(n, 2, n - 1)]
     calls.clear()
     # row 1's minor is read off the determinant pass as well
-    for q in range(1, 7):
+    for q in range(1, n + 1):
         element_inverse(a, 1, q)
     assert calls == []
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_only_the_pair_form_top_level_reads_more_than_the_first_row(m):
+    # `_cofactors` hands every minor (r, s), r >= 2, of an (m + 1)-square
+    # matrix the data of the first one it extracted in column s: that holds
+    # only while the m x m top level reads no row but the first
+    from minorform.engines import _telescope_levels
+
+    rng = random.Random(9100 + m)
+    data = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m * m))
+    below = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m if m > 2 else 0))
+    masked = data[:m] + (complex(math.nan, math.nan),) * (m * m - m)
+    top = _telescope_levels(m)[-1]
+    assert (repr(top(masked, below)) == repr(top(data, below))) is (m > 2)
 
 
 SIGNED_ZERO_PIVOT_CASES = [

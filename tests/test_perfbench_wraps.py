@@ -5,7 +5,6 @@ import importlib.util
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SPANS = PERFBENCH / "spans.py"
 
 
 def _load(stem: str):

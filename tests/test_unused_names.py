@@ -1,10 +1,15 @@
-"""Every top-level name in the package, and in the tools, has a reader, so a
-helper or format left without a caller fails here rather than lingering."""
+"""Every top-level name in the package, the tools and the tests has a reader,
+so a helper, format or constant left without a caller fails here rather
+than lingering."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minorform"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(directory: Path) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))}
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:
@@ -34,7 +39,7 @@ def _read_names(tree: ast.Module) -> set[str]:
 
 
 def test_every_top_level_name_has_a_reader():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees(ROOT / "src" / "minorform")
     assert "engines.py" in trees
     read = set().union(*map(_read_names, trees.values()))
     unread = sorted(
@@ -47,7 +52,18 @@ def test_every_top_level_name_has_a_reader():
 
 
 def test_every_top_level_name_in_tools_has_a_reader_in_tools_or_tests():
-    tools, tests = ({p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((PACKAGE.parents[1] / d).glob("*.py"))} for d in ("tools", "tests"))
+    tools, tests = _trees(ROOT / "tools"), _trees(ROOT / "tests")
     assert "bench_record.py" in tools
     read = set().union(*map(_read_names, [*tools.values(), *tests.values()]))
     assert sorted(f"{module}:{name}" for module, tree in tools.items() for name in _top_level_names(tree) - read) == []
+
+
+def test_every_top_level_name_in_tests_has_a_reader_in_tests_or_tools():
+    # pytest collects `test_*` functions by name, so those need no reader
+    tools, tests = _trees(ROOT / "tools"), _trees(ROOT / "tests")
+    assert "test_unused_names.py" in tests
+    read = set().union(*map(_read_names, [*tools.values(), *tests.values()]))
+    unread = sorted(
+        f"{module}:{name}" for module, tree in tests.items() for name in _top_level_names(tree) - read if not name.startswith("test_")
+    )
+    assert unread == []
